@@ -1,4 +1,4 @@
-"""Data channels over STL carriers, with one fixed binary encoding each.
+"""Data channels over STL carriers, one table entry each.
 
 Every channel is a source of variation that leaves the printed geometry
 untouched:
@@ -16,13 +16,19 @@ untouched:
   reduced to canonical form, designed to survive a scrubber that only
   re-randomizes single consecutive pairs.
 
-Embed and extract are exact inverses within a carrier's capacity, and the
-set of usable positions is always recomputable from the carrier alone.
+``CHANNELS`` maps each ``ChannelId`` to a ``Channel``: its carrier kind
+(an ``StlModel``, or a ``RawAsciiDocument`` for the text channels), the
+slots that hold one bit each, how to read and write a slot, and the scrubber
+that erases it. ``capacity``, ``embed`` and ``extract`` run over that table,
+so adding a channel means adding one entry. Embed and extract are exact
+inverses within a carrier's capacity, and the slots are always recomputable
+from the carrier alone.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .bits import BitSequence
 from .errors import (
@@ -31,9 +37,15 @@ from .errors import (
     DegenerateFacetError,
 )
 from .floatfmt import format_scientific, format_standard, parse_float32
-from .model import Facet, StlFormat, StlModel, Vec3, unit_rhr_normal
+from .model import Facet, StlFormat, StlModel, Vec3, geometry_key, unit_rhr_normal
 from .rawdoc import RawAsciiDocument
-from .stl_io import parse_ascii, write_canonical_ascii
+from .sanitize import (
+    sanitize_facet_channel,
+    sanitize_model,
+    sanitize_normal_channel,
+    sanitize_vertex_channel,
+)
+from .stl_io import detect_format, parse_ascii, parse_bytes, write_canonical_ascii
 
 
 class ChannelId(enum.Enum):
@@ -43,9 +55,6 @@ class ChannelId(enum.Enum):
     NUMBER = "number"
     WHITESPACE = "whitespace"
     ROBUST_PAIR = "robust-pair"
-
-
-TEXT_CHANNELS = frozenset({ChannelId.NUMBER, ChannelId.WHITESPACE})
 
 
 class Ordering(enum.IntEnum):
@@ -59,11 +68,10 @@ def max_vertex(a: Vec3, b: Vec3) -> Vec3:
     return a if a >= b else b
 
 
-def _canonical_triple(facet: Facet) -> tuple[Vec3, Vec3, Vec3]:
-    a, b, c = facet.v1, facet.v2, facet.v3
-    if a == b or b == c or a == c:
+def _canonical_key(facet: Facet) -> tuple[Vec3, Vec3, Vec3]:
+    if facet.is_degenerate():
         raise DegenerateFacetError("facet has repeated vertices")
-    return min((a, b, c), (b, c, a), (c, a, b))
+    return geometry_key(facet)
 
 
 def canonical_vertex_rotation(facet: Facet) -> Facet:
@@ -72,13 +80,13 @@ def canonical_vertex_rotation(facet: Facet) -> Facet:
     Normal and attribute are unchanged. Idempotent, and all three rotations
     of a facet map to the same output.
     """
-    return facet.with_vertices(_canonical_triple(facet))
+    return facet.with_vertices(_canonical_key(facet))
 
 
 def compare_facets(f: Facet, g: Facet) -> Ordering:
     """Total preorder on facets: canonical vertex triples, lexicographically."""
-    cf = _canonical_triple(f)
-    cg = _canonical_triple(g)
+    cf = _canonical_key(f)
+    cg = _canonical_key(g)
     if cf < cg:
         return Ordering.LESS
     if cf > cg:
@@ -91,68 +99,215 @@ def _usable_indices(model: StlModel) -> list[int]:
 
 
 def _normal_usable_indices(model: StlModel) -> list[int]:
-    # zero-area facets have no right-hand-rule normal
-    return [
-        i
-        for i, f in enumerate(model.facets)
-        if not f.is_degenerate() and unit_rhr_normal(*f.vertices) is not None
-    ]
-
-
-def _facet_pairs(model: StlModel) -> list[tuple[int, int]]:
-    """Disjoint consecutive pairs of usable facets that differ canonically."""
-    usable = _usable_indices(model)
-    pairs = []
-    for k in range(0, len(usable) - 1, 2):
-        i, j = usable[k], usable[k + 1]
-        if _canonical_triple(model.facets[i]) != _canonical_triple(model.facets[j]):
-            pairs.append((i, j))
-    return pairs
+    # zero-area facets, the degenerate ones included, have no RHR normal
+    return [i for i, f in enumerate(model.facets) if unit_rhr_normal(*f.vertices) is not None]
 
 
 def _canonical_pair(f: Facet, g: Facet):
     # smallest facet first
-    cf = _canonical_triple(f)
-    cg = _canonical_triple(g)
+    cf = geometry_key(f)
+    cg = geometry_key(g)
     return (cf, cg) if cf <= cg else (cg, cf)
 
 
-def _robust_groups(model: StlModel) -> list[tuple[int, int, int, int]]:
-    """Disjoint runs of four usable facets whose two canonical pairs differ."""
-    usable = _usable_indices(model)
-    groups = []
-    facets = model.facets
-    for k in range(0, len(usable) - 3, 4):
-        i0, i1, i2, i3 = usable[k : k + 4]
-        if _canonical_pair(facets[i0], facets[i1]) != _canonical_pair(facets[i2], facets[i3]):
-            groups.append((i0, i1, i2, i3))
-    return groups
+def _halves(facets, run) -> tuple:
+    """Canonical forms of an order run's two halves: one geometry key each
+    for a pair, one canonical pair each for a run of four."""
+    if len(run) == 2:
+        i, j = run
+        return geometry_key(facets[i]), geometry_key(facets[j])
+    i0, i1, i2, i3 = run
+    return _canonical_pair(facets[i0], facets[i1]), _canonical_pair(facets[i2], facets[i3])
 
 
-def capacity(carrier: StlModel | RawAsciiDocument, channel: ChannelId) -> int:
-    """Number of payload bits the channel can hold in this carrier."""
+def _order_runs(width: int):
+    """Slots of the order channels: disjoint runs of `width` consecutive
+    usable facets whose two halves differ canonically."""
+
+    def slots(model: StlModel) -> list[tuple[int, ...]]:
+        usable = _usable_indices(model)
+        runs = []
+        for k in range(0, len(usable) - width + 1, width):
+            run = tuple(usable[k : k + width])
+            first, second = _halves(model.facets, run)
+            if first != second:
+                runs.append(run)
+        return runs
+
+    return slots
+
+
+def _read_order(model: StlModel, run) -> int:
+    """1 iff the run's first half is canonically greater than its second."""
+    first, second = _halves(model.facets, run)
+    return 1 if first > second else 0
+
+
+def _write_order(model: StlModel, runs, bits) -> StlModel:
+    """Swap the two halves of each run whose bit differs; nothing crosses run
+    boundaries, so the other runs read as before."""
+    facets = list(model.facets)
+    for bit, run in zip(bits, runs):
+        if _read_order(model, run) != bit:
+            half = len(run) // 2
+            for i, j in zip(run[:half], run[half:]):
+                facets[i], facets[j] = facets[j], facets[i]
+    return model.with_facets(facets)
+
+
+def _read_vertex(model: StlModel, i: int) -> int:
+    """1 iff v1 is the largest of the facet's vertices."""
+    v1, v2, v3 = model.facets[i].vertices
+    return 1 if v1 == max_vertex(v1, max_vertex(v2, v3)) else 0
+
+
+def _write_vertex(model: StlModel, indices, bits) -> StlModel:
+    """Bit 1 lists the largest vertex first, bit 0 the smallest."""
+    facets = list(model.facets)
+    for bit, i in zip(bits, indices):
+        a, b, c = facets[i].vertices
+        rotations = ((a, b, c), (b, c, a), (c, a, b))
+        facets[i] = facets[i].with_vertices(max(rotations) if bit else min(rotations))
+    return model.with_facets(facets)
+
+
+def _read_normal(model: StlModel, i: int) -> int:
+    """1 iff the stored normal opposes the computed RHR normal. Zero-length
+    stored normals (dot product 0) decode as 0 by convention."""
+    f = model.facets[i]
+    n = unit_rhr_normal(*f.vertices)
+    dot = f.normal[0] * n[0] + f.normal[1] * n[1] + f.normal[2] * n[2]
+    return 1 if dot < 0 else 0
+
+
+def _write_normal(model: StlModel, indices, bits) -> StlModel:
+    """Store the exact RHR normal for bit 0 and its negation for bit 1."""
+    facets = list(model.facets)
+    for bit, i in zip(bits, indices):
+        n = unit_rhr_normal(*facets[i].vertices)
+        if bit:
+            n = (0.0 - n[0], 0.0 - n[1], 0.0 - n[2])
+        facets[i] = replace(facets[i], normal=n)
+    return model.with_facets(facets)
+
+
+def _is_scientific(token: str) -> bool:
+    return "e" in token or "E" in token
+
+
+def _write_number(doc: RawAsciiDocument, tokens, bits) -> RawAsciiDocument:
+    """Bit 0 spells a token in standard notation, bit 1 in scientific.
+
+    Tokens already in the requested notation are left untouched; rewritten
+    tokens keep their single-precision value exactly.
+    """
+    tokens = list(tokens)
+    for idx, bit in enumerate(bits):
+        token = tokens[idx]
+        if bit and not _is_scientific(token):
+            tokens[idx] = format_scientific(parse_float32(token))
+        elif not bit and _is_scientific(token):
+            tokens[idx] = format_standard(parse_float32(token))
+    return doc.with_number_tokens(tokens)
+
+
+def _write_whitespace(doc: RawAsciiDocument, runs, bits) -> RawAsciiDocument:
+    """Re-indent lines: bit 0 uses spaces, bit 1 tabs, preserving width."""
+    runs = list(runs)
+    for idx, bit in enumerate(bits):
+        runs[idx] = ("\t" if bit else " ") * len(runs[idx])
+    return doc.with_indent_runs(runs)
+
+
+def _rewrite_canonically(doc: RawAsciiDocument, rng) -> RawAsciiDocument:
+    # the text channels' scrubber: uniform re-serialization
+    return RawAsciiDocument(write_canonical_ascii(parse_ascii(doc.text)))
+
+
+@dataclass(frozen=True)
+class Channel:
+    """One channel, stated once.
+
+    ``text`` names the carrier kind: a RawAsciiDocument when true, an
+    StlModel otherwise. ``slots(carrier)`` lists the positions that hold one
+    bit each, in payload order. ``read(carrier, slot)`` decodes one bit.
+    ``write(carrier, slots, bits)`` returns a new carrier whose first
+    len(bits) slots hold bits; it receives every slot. ``scrub(carrier,
+    rng)`` is the channel's own scrubber.
+    """
+
+    text: bool
+    slots: Callable
+    read: Callable
+    write: Callable
+    scrub: Callable
+
+
+# The scrubbers are looked up when called, not bound here, so that a wrapper
+# installed on a sanitize function (a profiler, a test) sees these calls too.
+CHANNELS = {
+    ChannelId.FACET: Channel(
+        False, _order_runs(2), _read_order, _write_order,
+        lambda model, rng: sanitize_facet_channel(model, rng),
+    ),
+    ChannelId.VERTEX: Channel(
+        False, _usable_indices, _read_vertex, _write_vertex,
+        lambda model, rng: sanitize_vertex_channel(model, rng),
+    ),
+    ChannelId.NORMAL: Channel(
+        False, _normal_usable_indices, _read_normal, _write_normal,
+        lambda model, rng: sanitize_normal_channel(model),
+    ),
+    ChannelId.NUMBER: Channel(
+        True, lambda doc: doc.number_tokens,
+        lambda doc, token: 1 if _is_scientific(token) else 0,
+        _write_number, _rewrite_canonically,
+    ),
+    ChannelId.WHITESPACE: Channel(
+        True, lambda doc: doc.indent_runs,
+        lambda doc, run: 1 if "\t" in run else 0,
+        _write_whitespace, _rewrite_canonically,
+    ),
+    # exists to defeat a scrubber that only re-randomizes single consecutive
+    # pairs, so its scrubber is the full geometric one
+    ChannelId.ROBUST_PAIR: Channel(
+        False, _order_runs(4), _read_order, _write_order,
+        lambda model, rng: sanitize_model(model, rng),
+    ),
+}
+
+TEXT_CHANNELS = frozenset(c for c, spec in CHANNELS.items() if spec.text)
+
+
+def _require_ascii(source: StlFormat, channel: ChannelId) -> None:
+    if source is StlFormat.BINARY:
+        raise ChannelUnavailableError(f"{channel.value} channel requires an ASCII source")
+
+
+def _as_carrier(carrier, channel: ChannelId):
+    """The carrier kind the channel reads: a text channel turns an
+    ASCII-sourced StlModel into its canonical text, a model channel parses a
+    RawAsciiDocument."""
+    if CHANNELS[channel].text:
+        if isinstance(carrier, RawAsciiDocument):
+            return carrier
+        _require_ascii(carrier.source_format, channel)
+        return RawAsciiDocument(write_canonical_ascii(carrier))
     if isinstance(carrier, RawAsciiDocument):
-        if channel is ChannelId.NUMBER:
-            return len(carrier.number_tokens)
-        if channel is ChannelId.WHITESPACE:
-            return len(carrier.indent_runs)
-        return capacity(parse_ascii(carrier.text), channel)
+        return parse_ascii(carrier.text)
+    return carrier
 
-    if channel in TEXT_CHANNELS:
-        if carrier.source_format is StlFormat.BINARY:
-            raise ChannelUnavailableError(
-                f"{channel.value} channel requires an ASCII source"
-            )
-        return capacity(RawAsciiDocument(write_canonical_ascii(carrier)), channel)
-    if channel is ChannelId.FACET:
-        return len(_facet_pairs(carrier))
-    if channel is ChannelId.VERTEX:
-        return len(_usable_indices(carrier))
-    if channel is ChannelId.NORMAL:
-        return len(_normal_usable_indices(carrier))
-    if channel is ChannelId.ROBUST_PAIR:
-        return len(_robust_groups(carrier))
-    raise ValueError(f"unknown channel {channel!r}")
+
+def load_carrier(data: bytes, channel: ChannelId):
+    """Parse file bytes into the carrier kind the channel reads.
+
+    Text channels get the raw text, so an embed leaves every other byte of
+    the file as it was.
+    """
+    if not CHANNELS[channel].text:
+        return parse_bytes(data)
+    _require_ascii(detect_format(data), channel)
+    return RawAsciiDocument(data.decode("ascii"))
 
 
 def _check_capacity(needed: int, available: int) -> None:
@@ -162,199 +317,46 @@ def _check_capacity(needed: int, available: int) -> None:
         )
 
 
-def embed_vertex(model: StlModel, payload: BitSequence) -> StlModel:
-    """Set each usable facet's rotation: bit 1 lists the largest vertex
-    first, bit 0 the smallest. Facets beyond the payload are unchanged."""
-    usable = _usable_indices(model)
-    _check_capacity(len(payload), len(usable))
-    facets = list(model.facets)
-    for bit, i in zip(payload, usable):
-        a, b, c = facets[i].vertices
-        rotations = ((a, b, c), (b, c, a), (c, a, b))
-        target = max(rotations) if bit else min(rotations)
-        facets[i] = facets[i].with_vertices(target)
-    return model.with_facets(facets)
-
-
-def extract_vertex(model: StlModel, k: int) -> BitSequence:
-    """Bit i is 1 iff v1 of usable facet i is the largest of its vertices."""
-    usable = _usable_indices(model)
-    _check_capacity(k, len(usable))
-    bits = []
-    for i in usable[:k]:
-        v1, v2, v3 = model.facets[i].vertices
-        bits.append(1 if v1 == max_vertex(v1, max_vertex(v2, v3)) else 0)
-    return BitSequence(bits)
-
-
-def embed_facet(model: StlModel, payload: BitSequence) -> StlModel:
-    """Order each usable consecutive pair: bit 1 puts the greater facet
-    first. Only swaps within a pair; nothing crosses pair boundaries."""
-    pairs = _facet_pairs(model)
-    _check_capacity(len(payload), len(pairs))
-    facets = list(model.facets)
-    for bit, (i, j) in zip(payload, pairs):
-        want = Ordering.GREATER if bit else Ordering.LESS
-        if compare_facets(facets[i], facets[j]) is not want:
-            facets[i], facets[j] = facets[j], facets[i]
-    return model.with_facets(facets)
-
-
-def extract_facet(model: StlModel, k: int) -> BitSequence:
-    pairs = _facet_pairs(model)
-    _check_capacity(k, len(pairs))
-    bits = [
-        1 if compare_facets(model.facets[i], model.facets[j]) is Ordering.GREATER else 0
-        for i, j in pairs[:k]
-    ]
-    return BitSequence(bits)
-
-
-def embed_normal(model: StlModel, payload: BitSequence) -> StlModel:
-    """Store the exact RHR normal for bit 0 and its negation for bit 1."""
-    usable = _normal_usable_indices(model)
-    _check_capacity(len(payload), len(usable))
-    facets = list(model.facets)
-    for bit, i in zip(payload, usable):
-        n = unit_rhr_normal(*facets[i].vertices)
-        if bit:
-            n = (0.0 - n[0], 0.0 - n[1], 0.0 - n[2])
-        facets[i] = replace(facets[i], normal=n)
-    return model.with_facets(facets)
-
-
-def extract_normal(model: StlModel, k: int) -> BitSequence:
-    """Bit is 1 iff the stored normal opposes the computed RHR normal.
-
-    Zero-length stored normals (dot product 0) decode as 0 by convention.
-    """
-    usable = _normal_usable_indices(model)
-    _check_capacity(k, len(usable))
-    bits = []
-    for i in usable[:k]:
-        f = model.facets[i]
-        n = unit_rhr_normal(*f.vertices)
-        dot = f.normal[0] * n[0] + f.normal[1] * n[1] + f.normal[2] * n[2]
-        bits.append(1 if dot < 0 else 0)
-    return BitSequence(bits)
-
-
-def embed_robust_pair(model: StlModel, payload: BitSequence) -> StlModel:
-    """Encode one bit per run of four usable facets by ordering its two
-    canonical pairs; a bit is changed by swapping the pairs' positions."""
-    groups = _robust_groups(model)
-    _check_capacity(len(payload), len(groups))
-    facets = list(model.facets)
-    for bit, (i0, i1, i2, i3) in zip(payload, groups):
-        a = _canonical_pair(facets[i0], facets[i1])
-        b = _canonical_pair(facets[i2], facets[i3])
-        if (1 if a > b else 0) != bit:
-            facets[i0], facets[i2] = facets[i2], facets[i0]
-            facets[i1], facets[i3] = facets[i3], facets[i1]
-    return model.with_facets(facets)
-
-
-def extract_robust_pair(model: StlModel, k: int) -> BitSequence:
-    groups = _robust_groups(model)
-    _check_capacity(k, len(groups))
-    bits = []
-    for i0, i1, i2, i3 in groups[:k]:
-        a = _canonical_pair(model.facets[i0], model.facets[i1])
-        b = _canonical_pair(model.facets[i2], model.facets[i3])
-        bits.append(1 if a > b else 0)
-    return BitSequence(bits)
-
-
-def _is_scientific(token: str) -> bool:
-    return "e" in token or "E" in token
-
-
-def embed_number(doc: RawAsciiDocument, payload: BitSequence) -> RawAsciiDocument:
-    """Respell numeric tokens: bit 0 standard, bit 1 scientific notation.
-
-    Tokens already in the requested notation are left untouched; rewritten
-    tokens keep their single-precision value exactly.
-    """
-    tokens = list(doc.number_tokens)
-    _check_capacity(len(payload), len(tokens))
-    for idx, bit in enumerate(payload):
-        token = tokens[idx]
-        if bit and not _is_scientific(token):
-            tokens[idx] = format_scientific(parse_float32(token))
-        elif not bit and _is_scientific(token):
-            tokens[idx] = format_standard(parse_float32(token))
-    return doc.with_number_tokens(tokens)
-
-
-def extract_number(doc: RawAsciiDocument, k: int) -> BitSequence:
-    tokens = doc.number_tokens
-    _check_capacity(k, len(tokens))
-    return BitSequence(1 if _is_scientific(t) else 0 for t in tokens[:k])
-
-
-def embed_whitespace(doc: RawAsciiDocument, payload: BitSequence) -> RawAsciiDocument:
-    """Re-indent lines: bit 0 uses spaces, bit 1 tabs, preserving width."""
-    runs = list(doc.indent_runs)
-    _check_capacity(len(payload), len(runs))
-    for idx, bit in enumerate(payload):
-        runs[idx] = ("\t" if bit else " ") * len(runs[idx])
-    return doc.with_indent_runs(runs)
-
-
-def extract_whitespace(doc: RawAsciiDocument, k: int) -> BitSequence:
-    runs = doc.indent_runs
-    _check_capacity(k, len(runs))
-    return BitSequence(1 if "\t" in run else 0 for run in runs[:k])
-
-
-_MODEL_EMBEDDERS = {
-    ChannelId.FACET: embed_facet,
-    ChannelId.VERTEX: embed_vertex,
-    ChannelId.NORMAL: embed_normal,
-    ChannelId.ROBUST_PAIR: embed_robust_pair,
-}
-
-_MODEL_EXTRACTORS = {
-    ChannelId.FACET: extract_facet,
-    ChannelId.VERTEX: extract_vertex,
-    ChannelId.NORMAL: extract_normal,
-    ChannelId.ROBUST_PAIR: extract_robust_pair,
-}
-
-_TEXT_EMBEDDERS = {
-    ChannelId.NUMBER: embed_number,
-    ChannelId.WHITESPACE: embed_whitespace,
-}
-
-_TEXT_EXTRACTORS = {
-    ChannelId.NUMBER: extract_number,
-    ChannelId.WHITESPACE: extract_whitespace,
-}
+def capacity(carrier, channel: ChannelId) -> int:
+    """Number of payload bits the channel can hold in this carrier."""
+    return len(CHANNELS[channel].slots(_as_carrier(carrier, channel)))
 
 
 def embed(carrier, channel: ChannelId, payload: BitSequence):
-    """Embed into any channel; the carrier kind must match the channel.
+    """Embed into any channel; returns the channel's carrier kind.
 
-    Model channels take an StlModel; text channels take a RawAsciiDocument
-    (an ASCII-sourced StlModel is serialized canonically first).
+    Slots beyond the payload are unchanged. An ASCII-sourced StlModel given
+    to a text channel is serialized canonically first.
     """
-    if channel in TEXT_CHANNELS:
-        doc = _as_document(carrier, channel)
-        return _TEXT_EMBEDDERS[channel](doc, payload)
-    return _MODEL_EMBEDDERS[channel](carrier, payload)
+    spec = CHANNELS[channel]
+    carrier = _as_carrier(carrier, channel)
+    slots = spec.slots(carrier)
+    _check_capacity(len(payload), len(slots))
+    return spec.write(carrier, slots, payload)
 
 
 def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     """Extract k bits from any channel; mirrors embed."""
-    if channel in TEXT_CHANNELS:
-        doc = _as_document(carrier, channel)
-        return _TEXT_EXTRACTORS[channel](doc, k)
-    return _MODEL_EXTRACTORS[channel](carrier, k)
+    spec = CHANNELS[channel]
+    carrier = _as_carrier(carrier, channel)
+    slots = spec.slots(carrier)
+    _check_capacity(k, len(slots))
+    return BitSequence([spec.read(carrier, slot) for slot in slots[:k]])
 
 
-def _as_document(carrier, channel: ChannelId) -> RawAsciiDocument:
-    if isinstance(carrier, RawAsciiDocument):
-        return carrier
-    if carrier.source_format is StlFormat.BINARY:
-        raise ChannelUnavailableError(f"{channel.value} channel requires an ASCII source")
-    return RawAsciiDocument(write_canonical_ascii(carrier))
+def _codec(channel: ChannelId):
+    def embed_one(carrier, payload: BitSequence):
+        return embed(carrier, channel, payload)
+
+    def extract_one(carrier, k: int) -> BitSequence:
+        return extract(carrier, channel, k)
+
+    return embed_one, extract_one
+
+
+embed_facet, extract_facet = _codec(ChannelId.FACET)
+embed_vertex, extract_vertex = _codec(ChannelId.VERTEX)
+embed_normal, extract_normal = _codec(ChannelId.NORMAL)
+embed_number, extract_number = _codec(ChannelId.NUMBER)
+embed_whitespace, extract_whitespace = _codec(ChannelId.WHITESPACE)
+embed_robust_pair, extract_robust_pair = _codec(ChannelId.ROBUST_PAIR)

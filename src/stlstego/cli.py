@@ -14,13 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .bits import BitSequence
-from .channels import (
-    TEXT_CHANNELS,
-    ChannelId,
-    capacity,
-    embed,
-    extract,
-)
+from .channels import TEXT_CHANNELS, ChannelId, capacity, embed, extract, load_carrier
 from .errors import (
     CapacityExceededError,
     ChannelUnavailableError,
@@ -32,7 +26,7 @@ from .icosphere import generate_test_mesh
 from .model import StlFormat
 from .rawdoc import RawAsciiDocument
 from .sanitize import RandomSource, sanitize_all
-from .stl_io import detect_format, parse_bytes, serialize
+from .stl_io import parse_bytes, serialize
 
 _CHANNEL_NAMES = [c.value for c in ChannelId]
 
@@ -126,18 +120,16 @@ def _cmd_gen_mesh(args) -> int:
 
 def _cmd_capacity(args) -> int:
     data = Path(args.input).read_bytes()
-    fmt = detect_format(data)
     model = parse_bytes(data)
-    doc = RawAsciiDocument(data.decode("ascii")) if fmt is StlFormat.ASCII else None
+    # text channels read the raw text; a binary model makes them unavailable
+    ascii_source = model.source_format is StlFormat.ASCII
+    text = RawAsciiDocument(data.decode("ascii")) if ascii_source else model
     print(f"{'channel':<12} {'capacity':>10}")
     for channel in ChannelId:
-        if channel in TEXT_CHANNELS:
-            if doc is None:
-                print(f"{channel.value:<12} {'unavailable':>10}")
-                continue
-            bits = capacity(doc, channel)
-        else:
-            bits = capacity(model, channel)
+        try:
+            bits = capacity(text if channel in TEXT_CHANNELS else model, channel)
+        except ChannelUnavailableError:
+            bits = "unavailable"
         print(f"{channel.value:<12} {bits:>10}")
     return 0
 
@@ -156,42 +148,24 @@ def _load_payload(args) -> BitSequence:
 def _cmd_embed(args) -> int:
     channel = ChannelId(args.channel)
     payload = _load_payload(args)
-    data = Path(args.input).read_bytes()
-    fmt = detect_format(data)
-
+    carrier = load_carrier(Path(args.input).read_bytes(), channel)
+    if channel in TEXT_CHANNELS and args.format == "binary":
+        raise StlParseError(
+            f"{channel.value} payloads live in the ASCII text; binary output would erase them"
+        )
+    stego = embed(carrier, channel, payload)
     if channel in TEXT_CHANNELS:
-        if fmt is StlFormat.BINARY:
-            raise ChannelUnavailableError(
-                f"{channel.value} channel requires an ASCII source"
-            )
-        if args.format == "binary":
-            raise StlParseError(
-                f"{channel.value} payloads live in the ASCII text; "
-                "binary output would erase them"
-            )
-        doc = embed(RawAsciiDocument(data.decode("ascii")), channel, payload)
-        _write_atomic(Path(args.output), doc.text.encode("ascii"))
+        out = stego.text.encode("ascii")
     else:
-        model = embed(parse_bytes(data), channel, payload)
-        out_fmt = _output_format(args.format, fmt)
-        _write_atomic(Path(args.output), serialize(model, out_fmt))
+        out = serialize(stego, _output_format(args.format, stego.source_format))
+    _write_atomic(Path(args.output), out)
     print(f"embedded {len(payload)} bits in {channel.value} channel", file=sys.stderr)
     return 0
 
 
 def _cmd_extract(args) -> int:
     channel = ChannelId(args.channel)
-    data = Path(args.input).read_bytes()
-    fmt = detect_format(data)
-
-    if channel in TEXT_CHANNELS:
-        if fmt is StlFormat.BINARY:
-            raise ChannelUnavailableError(
-                f"{channel.value} channel requires an ASCII source"
-            )
-        carrier = RawAsciiDocument(data.decode("ascii"))
-    else:
-        carrier = parse_bytes(data)
+    carrier = load_carrier(Path(args.input).read_bytes(), channel)
     k = args.bits if args.bits is not None else capacity(carrier, channel)
     bits = extract(carrier, channel, k)
     payload = bits.to_bytes()

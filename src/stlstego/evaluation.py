@@ -23,23 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitSequence
-from .channels import (
-    ChannelId,
-    capacity,
-    embed,
-    extract,
-    _usable_indices,
-)
+from .channels import CHANNELS, ChannelId, capacity, embed, extract
 from .model import StlModel
-from .rawdoc import RawAsciiDocument
-from .sanitize import (
-    RandomSource,
-    sanitize_facet_channel,
-    sanitize_model,
-    sanitize_normal_channel,
-    sanitize_vertex_channel,
-)
-from .stl_io import parse_ascii, write_canonical_ascii
+from .sanitize import RandomSource
 
 
 def derive_seed(*parts) -> int:
@@ -120,19 +106,6 @@ def _trial_rng(cfg: TrialConfig, trial_index: int) -> RandomSource:
     return RandomSource.seeded(derive_seed(cfg.seed, "trial", trial_index))
 
 
-def _default_sanitizer(channel: ChannelId):
-    if channel is ChannelId.FACET:
-        return sanitize_facet_channel
-    if channel is ChannelId.VERTEX:
-        return sanitize_vertex_channel
-    if channel is ChannelId.NORMAL:
-        return lambda model, rng: sanitize_normal_channel(model)
-    if channel is ChannelId.ROBUST_PAIR:
-        return sanitize_model
-    # text channels: uniform re-serialization is the scrubber
-    return lambda doc, rng: RawAsciiDocument(write_canonical_ascii(parse_ascii(doc.text)))
-
-
 def run_trial(
     cfg: TrialConfig,
     trial_index: int,
@@ -144,26 +117,15 @@ def run_trial(
     payload defaults to the seed-derived experiment payload; pass the same
     object for every trial of an experiment. sanitizer overrides the
     channel's own scrubber (for example with a no-op for control runs); it
-    receives the carrier representation and the trial's RandomSource.
+    receives the channel's carrier kind and the trial's RandomSource.
     """
     if payload is None:
         payload = _experiment_payload(cfg)
     rng = _trial_rng(cfg, trial_index)
-    if sanitizer is None:
-        sanitizer = _default_sanitizer(cfg.channel)
-
-    if cfg.channel in (ChannelId.NUMBER, ChannelId.WHITESPACE):
-        doc = RawAsciiDocument(write_canonical_ascii(cfg.carrier))
-        embedded = embed(doc, cfg.channel, payload)
-        scrubbed = sanitizer(embedded, rng)
-        extracted = extract(scrubbed, cfg.channel, len(payload))
-        survived = np.fromiter(
-            (e == p for e, p in zip(extracted, payload)), dtype=bool, count=len(payload)
-        )
-        return TrialOutcome(survived=survived)
+    scrub = sanitizer if sanitizer is not None else CHANNELS[cfg.channel].scrub
 
     embedded = embed(cfg.carrier, cfg.channel, payload)
-    scrubbed = sanitizer(embedded, rng)
+    scrubbed = scrub(embedded, rng)
     extracted = extract(scrubbed, cfg.channel, len(payload))
     survived = np.fromiter(
         (e == p for e, p in zip(extracted, payload)), dtype=bool, count=len(payload)
@@ -171,7 +133,7 @@ def run_trial(
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
-        usable = _usable_indices(embedded)[: len(payload)]
+        usable = CHANNELS[ChannelId.VERTEX].slots(embedded)[: len(payload)]
         arrangement = np.fromiter(
             (
                 embedded.facets[i].vertices == scrubbed.facets[i].vertices

@@ -131,9 +131,8 @@ def sanitize_all(
         vertices_rotated=sum(
             a.vertices != b.vertices for a, b in zip(shuffled.facets, rotated.facets)
         ),
-        normals_recomputed=sum(
-            unit_rhr_normal(*f.vertices) is not None for f in model.facets
-        ),
+        # zero area can depend on the rotation, so count what the pass wrote
+        normals_recomputed=sum(f.normal != (0.0, 0.0, 0.0) for f in cleaned.facets),
         attributes_zeroed=sum(f.attribute != 0 for f in model.facets),
         format_written=fmt,
     )

@@ -98,11 +98,17 @@ class TestEmbedExtract:
         assert run_cli(["extract", stego, "--channel", "vertex", "--bits", 16]) == 0
         assert capsysbinary.readouterr().out == b"\xff\x00"
 
-    def test_text_channel_needs_ascii_carrier(self, carrier_binary, tmp_path):
-        code = run_cli(
-            ["embed", carrier_binary, "--channel", "number", "--payload-hex", "ff",
-             "-o", tmp_path / "x.stl"]
-        )
+    @pytest.mark.parametrize(
+        "verb_args",
+        [
+            ["embed", "--channel", "number", "--payload-hex", "ff"],
+            ["extract", "--channel", "whitespace"],
+        ],
+        ids=["embed-number", "extract-whitespace"],
+    )
+    def test_text_channel_needs_ascii_carrier(self, verb_args, carrier_binary, tmp_path):
+        verb, *options = verb_args
+        code = run_cli([verb, carrier_binary, *options, "-o", tmp_path / "x.stl"])
         assert code == 3
 
     def test_text_channel_refuses_binary_output(self, carrier_ascii, tmp_path):

@@ -204,6 +204,19 @@ class TestSanitizeAll:
         assert extract(model, ChannelId.FACET, capacity(model, ChannelId.FACET)) is not None
         assert extract(model, ChannelId.NORMAL, 2) == BitSequence((0, 0))
 
+    def test_normals_recomputed_counts_normals_written(self):
+        # zero area under the input rotation, nonzero under the other two
+        v1, v2, v3 = (
+            tuple(float(np.float32(c)) for c in v)
+            for v in ((1e20, 1.0000001, 1e20), (0.1, 3e-20, 1.0), (2.0, 1e-30, 1.0))
+        )
+        assert unit_rhr_normal(v1, v2, v3) is None
+        data = write_binary(StlModel(facets=(Facet(v1=v1, v2=v2, v3=v3),)))
+        for seed in range(5):
+            out, report = sanitize_all(data, RandomSource.seeded(seed))
+            written = parse_bytes(out).facets[0].normal != (0.0, 0.0, 0.0)
+            assert report.normals_recomputed == int(written)
+
     def test_parse_error_propagates(self):
         with pytest.raises(Exception):
             sanitize_all(b"not an stl at all", RandomSource.seeded(19))
