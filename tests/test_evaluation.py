@@ -18,6 +18,7 @@ from stlstego import (
     run_trial,
     statistical_gates,
 )
+from stlstego import channels
 from stlstego.evaluation import derive_seed
 
 
@@ -53,6 +54,30 @@ def test_noop_sanitizer_keeps_every_bit(channel, small_carrier):
     cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=40, trials=1, seed=3)
     outcome = run_trial(cfg, 0, sanitizer=lambda carrier, rng: carrier)
     assert outcome.survived.all()
+
+
+@pytest.mark.parametrize(
+    "channel, scrubber",
+    [
+        (ChannelId.FACET, "sanitize_facet_channel"),
+        (ChannelId.VERTEX, "sanitize_vertex_channel"),
+        (ChannelId.NORMAL, "sanitize_normal_channel"),
+        (ChannelId.ROBUST_PAIR, "sanitize_model"),
+    ],
+)
+def test_trial_scrubber_is_looked_up_when_called(channel, scrubber, small_carrier, monkeypatch):
+    # a wrapper installed on the module function, as a profiler does, sees the call
+    original = getattr(channels, scrubber)
+    calls = []
+
+    def wrapped(*args):
+        calls.append(channel)
+        return original(*args)
+
+    monkeypatch.setattr(channels, scrubber, wrapped)
+    cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=8, trials=1, seed=4)
+    run_trial(cfg, 0)
+    assert calls == [channel]
 
 
 def test_trial_rows_are_reproducible(small_carrier):
