@@ -1,102 +1,84 @@
 """Byte-faithful view of a raw ASCII STL document.
 
-Splits the text into pieces whose concatenation reproduces the input
-exactly, while indexing the two places where an ASCII file can vary without
-changing its parsed value: the spelling of numeric tokens and the
-whitespace used to indent lines. Rewriting either kind of piece yields a
-new document; everything else is untouched.
+Keeps the text exactly as given and indexes, by (start, end) spans, the two
+places where an ASCII file can vary without changing its parsed value. The
+statements come from `stl_io.ascii_statements`, the lexer `parse_ascii`
+reads, so lines end at LF (a CR before it is whitespace) and any whitespace
+separates tokens.
+
+- Number slots: the up to three number tokens after a statement that starts
+  with `vertex` or `facet normal`, 12 per facet.
+- Indent slots: the leading spaces and tabs of each indented non-blank line.
+
+Rewriting either kind of slot splices new strings into those spans and
+yields a new document; everything else is untouched.
 """
 from __future__ import annotations
 
 from .floatfmt import is_number_token
+from .stl_io import ascii_statements
 
 
 class RawAsciiDocument:
-    """Tokenized ASCII STL text with addressable numbers and indents."""
+    """ASCII STL text with addressable numbers and indents."""
 
-    __slots__ = ("_pieces", "_number_slots", "_indent_slots")
+    __slots__ = ("_text", "_number_spans", "_indent_spans")
 
     def __init__(self, text: str):
-        self._pieces, self._number_slots, self._indent_slots = _tokenize(text)
+        numbers: list[tuple[int, int]] = []
+        indents: list[tuple[int, int]] = []
+        for _, start, line, tokens in ascii_statements(text):
+            indent = len(line) - len(line.lstrip(" \t"))
+            if indent:
+                indents.append((start, start + indent))
+            if tokens[0] == "vertex":
+                first = 1
+            elif tokens[:2] == ["facet", "normal"]:
+                first = 2
+            else:
+                continue
+            end = start
+            for i, token in enumerate(tokens[: first + 3]):
+                begin = text.find(token, end)
+                end = begin + len(token)
+                if i >= first:
+                    if not is_number_token(token):
+                        break
+                    numbers.append((begin, end))
+        self._text = text
+        self._number_spans = tuple(numbers)
+        self._indent_spans = tuple(indents)
 
     @property
     def text(self) -> str:
-        return "".join(self._pieces)
+        return self._text
 
     @property
     def number_tokens(self) -> list[str]:
         """Numeric tokens of `facet normal` and `vertex` statements, in file order."""
-        return [self._pieces[i] for i in self._number_slots]
+        return [self._text[b:e] for b, e in self._number_spans]
 
     @property
     def indent_runs(self) -> list[str]:
         """Leading whitespace of each indented line, in file order."""
-        return [self._pieces[i] for i in self._indent_slots]
+        return [self._text[b:e] for b, e in self._indent_spans]
 
     def with_number_tokens(self, tokens) -> "RawAsciiDocument":
-        return self._rewrite(self._number_slots, tokens)
+        return self._rewrite(self._number_spans, tokens)
 
     def with_indent_runs(self, runs) -> "RawAsciiDocument":
-        return self._rewrite(self._indent_slots, runs)
+        return self._rewrite(self._indent_spans, runs)
 
-    def _rewrite(self, slots, replacements) -> "RawAsciiDocument":
+    def _rewrite(self, spans, replacements) -> "RawAsciiDocument":
         replacements = list(replacements)
-        if len(replacements) != len(slots):
+        if len(replacements) != len(spans):
             raise ValueError(
-                f"expected {len(slots)} replacement pieces, got {len(replacements)}"
+                f"expected {len(spans)} replacement pieces, got {len(replacements)}"
             )
-        pieces = list(self._pieces)
-        for i, new in zip(slots, replacements):
-            pieces[i] = new
-        return RawAsciiDocument("".join(pieces))
-
-
-def _tokenize(text: str):
-    pieces: list[str] = []
-    number_slots: list[int] = []
-    indent_slots: list[int] = []
-
-    pending_numbers = 0
-    previous_token = ""
-
-    for line in text.splitlines(keepends=True):
-        body = line.rstrip("\r\n")
-        eol = line[len(body):]
-
-        stripped = body.lstrip(" \t")
-        indent = body[: len(body) - len(stripped)]
-        if indent:
-            pieces.append(indent)
-            if stripped:
-                indent_slots.append(len(pieces) - 1)
-
-        rest = stripped
-        while rest:
-            ws_len = len(rest) - len(rest.lstrip(" \t"))
-            if ws_len:
-                pieces.append(rest[:ws_len])
-                rest = rest[ws_len:]
-                continue
-            tok_len = len(rest)
-            for k, ch in enumerate(rest):
-                if ch in " \t":
-                    tok_len = k
-                    break
-            token = rest[:tok_len]
-            pieces.append(token)
-            if pending_numbers and is_number_token(token):
-                number_slots.append(len(pieces) - 1)
-                pending_numbers -= 1
-            else:
-                pending_numbers = 0
-                if token == "normal" and previous_token == "facet":
-                    pending_numbers = 3
-                elif token == "vertex":
-                    pending_numbers = 3
-            previous_token = token
-            rest = rest[tok_len:]
-
-        if eol:
-            pieces.append(eol)
-
-    return tuple(pieces), tuple(number_slots), tuple(indent_slots)
+        parts = []
+        last = 0
+        for (begin, end), new in zip(spans, replacements):
+            parts += (self._text[last:begin], new)
+            last = end
+        parts.append(self._text[last:])
+        return RawAsciiDocument("".join(parts))

@@ -65,6 +65,26 @@ def detect_format(data: bytes) -> StlFormat:
     )
 
 
+def ascii_statements(text: str):
+    """Yield (line number, offset of the line in text, line, tokens) for
+    each non-blank line of an ASCII STL document.
+
+    This is the one lexer of the ASCII grammar: lines end at LF, so a CR
+    before it is whitespace, and any run of whitespace separates tokens.
+    Line numbers start at 1.
+    """
+    lineno, start = 1, 0
+    while start <= len(text):
+        end = text.find("\n", start)
+        if end < 0:
+            end = len(text)
+        line = text[start:end]
+        tokens = line.split()
+        if tokens:
+            yield lineno, start, line, tokens
+        lineno, start = lineno + 1, end + 1
+
+
 def parse_ascii(text: str) -> StlModel:
     """Parse a single-solid ASCII STL document.
 
@@ -72,32 +92,24 @@ def parse_ascii(text: str) -> StlModel:
     Numeric tokens accept standard and scientific notation and are rounded
     to the nearest single-precision value. Multi-solid files are rejected.
     """
-    stmts = []
-    lineno = 0
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split()
-        if tokens:
-            stmts.append((lineno, tokens, raw))
-    last_line = lineno
-
-    pos = 0
+    stmts = ascii_statements(text)
 
     def next_stmt(context: str):
-        nonlocal pos
-        if pos >= len(stmts):
-            raise StlParseError(f"unexpected end of input, expected {context}", last_line)
-        stmt = stmts[pos]
-        pos += 1
+        stmt = next(stmts, None)
+        if stmt is None:
+            raise StlParseError(
+                f"unexpected end of input, expected {context}", text.count("\n") + 1
+            )
         return stmt
 
-    no, tokens, raw = next_stmt("'solid'")
+    no, _, raw, tokens = next_stmt("'solid'")
     if tokens[0] != "solid":
         raise StlParseError(f"expected 'solid', found {tokens[0]!r}", no)
     name = raw.split(None, 1)[1].strip() if len(tokens) > 1 else ""
 
     facets = []
     while True:
-        no, tokens, _ = next_stmt("'facet' or 'endsolid'")
+        no, _, _, tokens = next_stmt("'facet' or 'endsolid'")
         if tokens[0] == "endsolid":
             break
         if tokens[0] != "facet":
@@ -106,28 +118,29 @@ def parse_ascii(text: str) -> StlModel:
             raise StlParseError("expected 'facet normal <nx> <ny> <nz>'", no)
         normal = tuple(parse_float32(t, no) for t in tokens[2:5])
 
-        no, tokens, _ = next_stmt("'outer loop'")
+        no, _, _, tokens = next_stmt("'outer loop'")
         if tokens != ["outer", "loop"]:
             raise StlParseError("expected 'outer loop'", no)
 
         verts = []
         for _ in range(3):
-            no, tokens, _ = next_stmt("'vertex'")
+            no, _, _, tokens = next_stmt("'vertex'")
             if tokens[0] != "vertex" or len(tokens) != 4:
                 raise StlParseError("expected 'vertex <x> <y> <z>'", no)
             verts.append(tuple(parse_float32(t, no) for t in tokens[1:4]))
 
-        no, tokens, _ = next_stmt("'endloop'")
+        no, _, _, tokens = next_stmt("'endloop'")
         if tokens != ["endloop"]:
             raise StlParseError("expected 'endloop' after three vertices", no)
-        no, tokens, _ = next_stmt("'endfacet'")
+        no, _, _, tokens = next_stmt("'endfacet'")
         if tokens != ["endfacet"]:
             raise StlParseError("expected 'endfacet'", no)
 
         facets.append(Facet(v1=verts[0], v2=verts[1], v3=verts[2], normal=normal))
 
-    if pos < len(stmts):
-        no, tokens, _ = stmts[pos]
+    extra = next(stmts, None)
+    if extra is not None:
+        no, _, _, tokens = extra
         if tokens[0] == "solid":
             raise StlParseError("multiple solids per file are not supported", no)
         raise StlParseError(f"unexpected content after 'endsolid': {tokens[0]!r}", no)

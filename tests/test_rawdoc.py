@@ -1,8 +1,19 @@
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LUCY_TEXT
-from stlstego import RawAsciiDocument
+from conftest import LUCY_TEXT, random_model
+from stlstego import (
+    BitSequence,
+    ChannelId,
+    RawAsciiDocument,
+    capacity,
+    embed_number,
+    embed_whitespace,
+    extract_number,
+    parse_ascii,
+    write_canonical_ascii,
+)
+from stlstego.floatfmt import parse_float32
 
 
 def test_rejoining_reproduces_text_exactly():
@@ -31,6 +42,37 @@ def test_solid_name_is_not_a_number_token():
     doc = RawAsciiDocument(text)
     assert doc.number_tokens == []
     assert doc.text == text
+
+
+# a one-facet file whose solid name spells a vertex statement
+NAMED_VERTEX_TEXT = """\
+solid vertex 1 2 3
+  facet normal 0 0 1
+    outer loop
+      vertex 0 0 0
+      vertex 1 0 0
+      vertex 0 1 0
+    endloop
+  endfacet
+endsolid vertex 1 2 3
+"""
+
+
+def test_number_slots_follow_the_grammar():
+    doc = RawAsciiDocument(NAMED_VERTEX_TEXT)
+    assert doc.number_tokens == ["0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
+    assert capacity(doc, ChannelId.NUMBER) == 12
+    assert len(doc.indent_runs) == 7
+
+
+def test_number_round_trip_leaves_the_name_line_alone():
+    doc = RawAsciiDocument(NAMED_VERTEX_TEXT)
+    payload = BitSequence([1, 0, 1] * 4)
+    out = embed_number(doc, payload)
+    assert extract_number(out, 12) == payload
+    lines, out_lines = NAMED_VERTEX_TEXT.split("\n"), out.text.split("\n")
+    assert out_lines[0] == lines[0] and out_lines[-2] == lines[-2]
+    assert out_lines[1] == "  facet normal 0e0 0 1e0"
 
 
 def test_blank_whitespace_lines_are_not_indented_lines():
@@ -70,3 +112,23 @@ printable = st.text(
 def test_tokenize_rejoin_identity_on_arbitrary_lines(lines):
     text = "\n".join(lines)
     assert RawAsciiDocument(text).text == text
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_slots_agree_with_the_parser(n, seed, data):
+    doc = RawAsciiDocument(write_canonical_ascii(random_model(n, seed)))
+    number_bits = data.draw(st.lists(st.integers(0, 1), max_size=12 * n))
+    indent_bits = data.draw(st.lists(st.integers(0, 1), max_size=7 * n))
+    doc = embed_number(doc, BitSequence(number_bits))
+    doc = embed_whitespace(doc, BitSequence(indent_bits))
+
+    model = parse_ascii(doc.text)
+    components = [c for f in model.facets for v in (f.normal, *f.vertices) for c in v]
+    assert [parse_float32(t) for t in doc.number_tokens] == components
+    assert len(doc.number_tokens) == 12 * n
+    assert len(doc.indent_runs) == 7 * n

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from stlstego import (
     StlFormat,
     StlModel,
     detect_format,
+    generate_test_mesh,
     parse_ascii,
     parse_binary,
     parse_bytes,
@@ -19,6 +21,7 @@ from stlstego import (
     write_canonical_ascii,
 )
 from stlstego.errors import StlParseError, UnrecognizedFormatError
+from stlstego.stl_io import ascii_statements
 
 
 class TestDetectFormat:
@@ -98,6 +101,34 @@ class TestParseAscii:
         text = "solid a\nendsolid a\nsolid b\nendsolid b"
         with pytest.raises(StlParseError, match="multiple solids"):
             parse_ascii(text)
+
+
+    def test_missing_endsolid_reports_the_last_line(self):
+        with pytest.raises(StlParseError, match="line 3"):
+            parse_ascii("solid a\n\n")
+
+    def test_trailing_content_reports_line(self):
+        with pytest.raises(StlParseError, match="line 4.*'junk'"):
+            parse_ascii("solid a\nendsolid a\n\n  junk\n")
+
+    def test_memory_stays_a_small_multiple_of_the_input(self):
+        text = write_canonical_ascii(generate_test_mesh(3))
+        tracemalloc.start()
+        try:
+            parse_ascii(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * len(text)
+
+
+def test_ascii_statements_split_lines_at_lf_and_tokens_at_whitespace():
+    text = "solid a\r\n\n \t\n\tfacet  normal\x0b1 2\r3\nendsolid"
+    assert list(ascii_statements(text)) == [
+        (1, 0, "solid a\r", ["solid", "a"]),
+        (4, 13, "\tfacet  normal\x0b1 2\r3", ["facet", "normal", "1", "2", "3"]),
+        (5, 34, "endsolid", ["endsolid"]),
+    ]
 
 
 class TestParseBinary:
