@@ -6,7 +6,9 @@ normalization of its number notation.
 """
 from __future__ import annotations
 
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,14 +25,44 @@ def is_number_token(token: str) -> bool:
 
 
 def parse_float32(token: str, line: int | None = None) -> float:
-    """Convert a numeric token to the nearest finite single-precision value."""
+    """Convert a numeric token to the nearest finite single-precision value.
+
+    The token is read as a double first. Rounding that double to single
+    precision gives the nearest value unless the double sits exactly on a
+    single-precision midpoint: the first rounding may have moved the token
+    there, so only then is the tie decided on the exact decimal (Clinger,
+    "How to Read Floating Point Numbers Accurately", PLDI 1990).
+    """
     if not is_number_token(token):
         raise StlParseError(f"not a number: {token!r}", line)
+    wide = float(token)
     with np.errstate(over="ignore"):
-        value = np.float32(float(token))
-    if not np.isfinite(value):
+        value = float(np.float32(wide))
+    if value != wide:
+        value = _settle_midpoint(token, wide, value)
+    if not abs(value) <= _F32_MAX:
         raise StlParseError(f"out of single-precision range: {token!r}", line)
-    return float(value)
+    return value
+
+
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _settle_midpoint(token: str, wide: float, value: float) -> float:
+    """`value` is `wide` rounded to single precision, ties to even. If `wide`
+    is halfway between two single-precision values, return the one on the
+    side of the exact decimal, or `value` on an exact tie."""
+    _, exp = math.frexp(wide)
+    # half a single-precision ulp at wide is 2**-shift; below the normal
+    # range the spacing stays that of the subnormals, 2**-149
+    shift = 25 - max(exp, -125)
+    if math.ldexp(wide, shift) % 2 != 1:
+        return value
+    exact = Fraction(token)
+    if exact == wide:
+        return value
+    half_ulp = math.ldexp(1.0, -shift)
+    return wide + half_ulp if exact > wide else wide - half_ulp
 
 
 def format_standard(value: float) -> str:

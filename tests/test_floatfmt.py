@@ -1,4 +1,5 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,3 +69,66 @@ def test_standard_round_trips_raw_bit_patterns(bits):
         return
     token = format_standard(x)
     assert np.float32(parse_float32(token)) == np.float32(x) or np.float32(x) == 0
+
+
+# 1 + 2**-24 + 2**-60: the nearest double is the float32 midpoint 1 + 2**-24,
+# which a second rounding would take to the even neighbour 1.0
+ABOVE_MIDPOINT = "1.000000059604644776257986737988403547205962240695953369140625"
+
+
+def test_parse_does_not_round_twice_above_a_midpoint():
+    assert parse_float32(ABOVE_MIDPOINT) == 1.0000001192092896
+    assert parse_float32("-" + ABOVE_MIDPOINT) == -1.0000001192092896
+    # just below 1 - 2**-25, the midpoint between 1 - 2**-24 and 1
+    below = "0.99999997019767761230468749999999999999"
+    assert parse_float32(below) == 1 - 2**-24
+
+
+@pytest.mark.parametrize(
+    "token, expected",
+    [
+        ("1.000000059604644775390625", 1.0),  # 1 + 2**-24, between 1 and 1 + 2**-23
+        ("1.000000178813934326171875", 1 + 2**-22),  # 1 + 3 * 2**-24
+    ],
+)
+def test_parse_breaks_exact_ties_to_even(token, expected):
+    assert parse_float32(token) == expected
+
+
+def _decimal(value: Fraction) -> str:
+    # exact positional spelling of a dyadic rational
+    digits = value.denominator.bit_length() - 1
+    return f"{value.numerator * 5**digits}e-{digits}"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_parse_settles_subnormal_midpoints_on_the_exact_decimal(sign):
+    tiny = Fraction(1, 2**149)
+    nudge = Fraction(1, 2**220)  # far below a double ulp at 2**-150
+    assert parse_float32(_decimal(sign * tiny / 2)) == 0.0  # tie to even: zero
+    assert parse_float32(_decimal(sign * (tiny / 2 + nudge))) == sign * 2.0**-149
+    assert parse_float32(_decimal(sign * (3 * tiny / 2 - nudge))) == sign * 2.0**-149
+    assert parse_float32(_decimal(sign * 3 * tiny / 2)) == sign * 2.0**-148
+
+
+def test_parse_keeps_the_largest_value_just_below_the_overflow_midpoint():
+    largest = float(np.finfo(np.float32).max)
+    midpoint = Fraction(2**128 - 2**103)
+    assert parse_float32(_decimal(midpoint - Fraction(1, 2**60))) == largest
+    with pytest.raises(StlParseError):
+        parse_float32(_decimal(midpoint))
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 2), st.integers(min_value=-3, max_value=3))
+def test_parse_rounds_points_near_a_midpoint_to_the_nearest(bits, offset):
+    low = struct.unpack("<f", struct.pack("<I", bits))[0]
+    high = struct.unpack("<f", struct.pack("<I", bits + 1))[0]
+    if not np.isfinite(np.float32(high)):
+        return
+    midpoint = (Fraction(low) + Fraction(high)) / 2
+    exact = midpoint + offset * Fraction(1, 2**300)
+    if exact == midpoint:
+        nearest = low if bits % 2 == 0 else high
+    else:
+        nearest = low if exact < midpoint else high
+    assert parse_float32(_decimal(exact)) == nearest
