@@ -18,6 +18,7 @@ from .errors import StlParseError
 # no inf/nan, no digit-group underscores, no hex floats.
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NUMBER_EXACT = re.compile(NUMBER_RE.pattern + r"\Z")
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def is_number_token(token: str) -> bool:
@@ -43,9 +44,6 @@ def parse_float32(token: str, line: int | None = None) -> float:
     if not abs(value) <= _F32_MAX:
         raise StlParseError(f"out of single-precision range: {token!r}", line)
     return value
-
-
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _settle_midpoint(token: str, wide: float, value: float) -> float:
