@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
+from decimal import Decimal
 
 import numpy as np
 
@@ -56,11 +56,13 @@ def _settle_midpoint(token: str, wide: float, value: float) -> float:
     shift = 25 - max(exp, -125)
     if math.ldexp(wide, shift) % 2 != 1:
         return value
-    exact = Fraction(token)
-    if exact == wide:
+    # Decimal compares exactly and, unlike int(str), has no digit limit
+    exact, tie = Decimal(token), Decimal(wide)
+    if exact == tie:
         return value
     half_ulp = math.ldexp(1.0, -shift)
-    return wide + half_ulp if exact > wide else wide - half_ulp
+    # copysign keeps -0.0 when a negative value rounds up to zero
+    return math.copysign(wide + half_ulp if exact > tie else wide - half_ulp, wide)
 
 
 def format_standard(value: float) -> str:

@@ -1,3 +1,4 @@
+import math
 import struct
 from fractions import Fraction
 
@@ -95,6 +96,13 @@ def test_parse_breaks_exact_ties_to_even(token, expected):
     assert parse_float32(token) == expected
 
 
+def test_parse_settles_midpoints_spelled_with_thousands_of_digits():
+    # longer than the int(str) digit limit of CPython 3.11
+    tie = "1.000000059604644775390625" + "0" * 4400
+    assert parse_float32(tie) == 1.0
+    assert parse_float32(tie + "1") == 1.0000001192092896
+
+
 def _decimal(value: Fraction) -> str:
     # exact positional spelling of a dyadic rational
     digits = value.denominator.bit_length() - 1
@@ -109,6 +117,8 @@ def test_parse_settles_subnormal_midpoints_on_the_exact_decimal(sign):
     assert parse_float32(_decimal(sign * (tiny / 2 + nudge))) == sign * 2.0**-149
     assert parse_float32(_decimal(sign * (3 * tiny / 2 - nudge))) == sign * 2.0**-149
     assert parse_float32(_decimal(sign * 3 * tiny / 2)) == sign * 2.0**-148
+    zero = parse_float32(_decimal(sign * (tiny / 2 - nudge)))
+    assert zero == 0.0 and math.copysign(1, zero) == sign
 
 
 def test_parse_keeps_the_largest_value_just_below_the_overflow_midpoint():

@@ -96,16 +96,13 @@ class TestParseAscii:
     def test_missing_endsolid(self):
         with pytest.raises(StlParseError, match="end of input"):
             parse_ascii(LUCY_TEXT.replace("endsolid StanfordLucy\n", ""))
+        with pytest.raises(StlParseError, match="line 3"):
+            parse_ascii("solid a\n\n")
 
     def test_multi_solid_rejected(self):
         text = "solid a\nendsolid a\nsolid b\nendsolid b"
         with pytest.raises(StlParseError, match="multiple solids"):
             parse_ascii(text)
-
-
-    def test_missing_endsolid_reports_the_last_line(self):
-        with pytest.raises(StlParseError, match="line 3"):
-            parse_ascii("solid a\n\n")
 
     def test_trailing_content_reports_line(self):
         with pytest.raises(StlParseError, match="line 4.*'junk'"):
