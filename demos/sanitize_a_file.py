@@ -32,7 +32,7 @@ print(f"stego file: {len(stego_bytes)} bytes, payload {len(payload)} bits in fac
 clean_bytes, report = sanitize_all(stego_bytes, RandomSource.crypto())
 print(
     f"sanitized : {report.facets_shuffled} facets shuffled, "
-    f"{report.vertices_rotated} vertex lists rotated, "
+    f"{report.vertices_rotated} vertex lists re-rotated at random, "
     f"{report.normals_recomputed} normals recomputed"
 )
 

@@ -50,6 +50,8 @@ class BitSequence:
         With an explicit length the result is truncated to that many bits,
         or zero-padded when the bytes run short.
         """
+        if length is not None and length < 0:
+            raise ValueError(f"length must be >= 0, got {length}")
         bits = []
         for byte in data:
             for shift in range(7, -1, -1):

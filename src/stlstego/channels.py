@@ -337,6 +337,8 @@ def embed(carrier, channel: ChannelId, payload: BitSequence):
 
 def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     """Extract k bits from any channel; mirrors embed."""
+    if k < 0:
+        raise ValueError(f"bit count must be >= 0, got {k}")
     spec = CHANNELS[channel]
     carrier = _as_carrier(carrier, channel)
     slots = spec.slots(carrier)

@@ -37,12 +37,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _at_least(minimum: int):
+    def count(text: str) -> int:
+        if (value := int(text)) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stlstego", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen-mesh", help="generate an icosphere test carrier")
-    p.add_argument("--subdivisions", type=int, default=4, help="0..6, facets = 20 * 4**n")
+    p.add_argument("--subdivisions", type=int, choices=range(7), default=4, help="20*4**n facets")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["ascii", "binary"], default="ascii")
 
@@ -55,14 +63,14 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--payload", help="file of payload bytes, bits taken MSB-first")
     group.add_argument("--payload-hex", help="payload as a hex string")
-    p.add_argument("--bits", type=int, help="payload length in bits (default: all payload bits)")
+    p.add_argument("--bits", type=_at_least(0), help="payload bits (default: all of them)")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["ascii", "binary", "preserve"], default="preserve")
 
     p = sub.add_parser("extract", help="read payload bits back from one channel")
     p.add_argument("input")
     p.add_argument("--channel", choices=_CHANNEL_NAMES, required=True)
-    p.add_argument("--bits", type=int, help="bit count (default: full channel capacity)")
+    p.add_argument("--bits", type=_at_least(0), help="bit count (default: full channel capacity)")
     p.add_argument("-o", "--output", help="output file (default: stdout)")
 
     p = sub.add_parser("sanitize", help="scrub every channel of a file")
@@ -79,8 +87,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="bit-survivability experiment on one channel")
     p.add_argument("input", nargs="?", help="carrier STL (default: built-in icosphere)")
     p.add_argument("--channel", choices=_CHANNEL_NAMES, required=True)
-    p.add_argument("--bits", type=int, default=1024)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--bits", type=_at_least(0), default=1024)
+    p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", default="eval-out", help="output directory")
 

@@ -53,6 +53,12 @@ class RandomSource:
 
 @dataclass(frozen=True)
 class SanitizeReport:
+    """What sanitize_all erased. facets_shuffled: facets in the input.
+    vertices_rotated: input facets whose three vertices are not all equal,
+    the vertex lists the rotation pass re-randomizes. attributes_zeroed:
+    nonzero attribute words in the input. normals_recomputed: nonzero
+    normals in the output, as zero area can depend on the rotation drawn."""
+
     facets_shuffled: int
     vertices_rotated: int
     normals_recomputed: int
@@ -113,27 +119,18 @@ def sanitize_all(
 ) -> tuple[bytes, SanitizeReport]:
     """Scrub every channel of an STL file and re-serialize it.
 
-    Applies the facet, vertex, and normal passes, then writes through the
-    canonical serializer, which wipes number notation and whitespace as a
-    side effect. output_format None preserves the source format. Parse
-    errors propagate before any output is produced.
+    Runs sanitize_model, then the canonical writer. output_format None
+    preserves the source format. Parse errors propagate before any output.
     """
     if rng is None:
         rng = RandomSource.crypto()
     model = parse_bytes(data)
-    shuffled = sanitize_facet_channel(model, rng)
-    rotated = sanitize_vertex_channel(shuffled, rng)
-    cleaned = sanitize_normal_channel(rotated)
+    cleaned = sanitize_model(model, rng)
     fmt = output_format if output_format is not None else model.source_format
-    out = serialize(cleaned, fmt)
-    report = SanitizeReport(
+    return serialize(cleaned, fmt), SanitizeReport(
         facets_shuffled=len(model.facets),
-        vertices_rotated=sum(
-            a.vertices != b.vertices for a, b in zip(shuffled.facets, rotated.facets)
-        ),
-        # zero area can depend on the rotation, so count what the pass wrote
+        vertices_rotated=sum(not f.v1 == f.v2 == f.v3 for f in model.facets),
         normals_recomputed=sum(f.normal != (0.0, 0.0, 0.0) for f in cleaned.facets),
         attributes_zeroed=sum(f.attribute != 0 for f in model.facets),
         format_written=fmt,
     )
-    return out, report

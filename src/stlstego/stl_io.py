@@ -164,14 +164,8 @@ def parse_binary(data: bytes) -> StlModel:
         if count and not np.isfinite(records[key]).all():
             raise StlParseError(f"non-finite {key} component in binary facet data")
     facets = tuple(
-        Facet(
-            v1=(float(r["v1"][0]), float(r["v1"][1]), float(r["v1"][2])),
-            v2=(float(r["v2"][0]), float(r["v2"][1]), float(r["v2"][2])),
-            v3=(float(r["v3"][0]), float(r["v3"][1]), float(r["v3"][2])),
-            normal=(float(r["normal"][0]), float(r["normal"][1]), float(r["normal"][2])),
-            attribute=int(r["attr"]),
-        )
-        for r in records
+        Facet(v1=tuple(a), v2=tuple(b), v3=tuple(c), normal=tuple(n), attribute=attr)
+        for n, a, b, c, attr in zip(*(records[key].tolist() for key in _RECORD_DTYPE.names))
     )
     return StlModel(solid_name=name, facets=facets, source_format=StlFormat.BINARY)
 
@@ -213,13 +207,9 @@ def write_binary(model: StlModel) -> bytes:
     if len(model.facets) >= 2**32:
         raise StlStegoError("facet count does not fit the u32 count field")
     name = sanitize_solid_name(model.solid_name).encode("ascii")
-    out = bytearray(name[:80].ljust(80, b"\x00"))
-    out += struct.pack("<I", len(model.facets))
-    records = np.zeros(len(model.facets), dtype=_RECORD_DTYPE)
-    for i, f in enumerate(model.facets):
-        records[i] = (f.normal, f.v1, f.v2, f.v3, f.attribute)
-    out += records.tobytes()
-    return bytes(out)
+    rows = [(f.normal, f.v1, f.v2, f.v3, f.attribute) for f in model.facets]
+    records = np.array(rows, dtype=_RECORD_DTYPE)
+    return name[:80].ljust(80, b"\x00") + struct.pack("<I", len(rows)) + records.tobytes()
 
 
 def serialize(model: StlModel, fmt: StlFormat) -> bytes:

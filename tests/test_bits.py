@@ -15,6 +15,11 @@ def test_length_pads_with_zeros():
     assert BitSequence.from_bytes(b"\xff", length=10).bits == (1,) * 8 + (0, 0)
 
 
+def test_negative_length_rejected():
+    with pytest.raises(ValueError):
+        BitSequence.from_bytes(b"\xca\xfe", -3)
+
+
 def test_to_bytes_pads_final_byte():
     assert BitSequence((1, 0, 1)).to_bytes() == b"\xa0"
     assert BitSequence(()).to_bytes() == b""

@@ -415,6 +415,10 @@ class TestDispatch:
         payload = BitSequence.random(k, rng)
         assert extract(embed(carrier, channel, payload), channel, k) == payload
 
+    def test_negative_bit_count_rejected(self, icosphere2):
+        with pytest.raises(ValueError):
+            extract(icosphere2, ChannelId.FACET, -1)
+
     def test_text_channel_on_binary_model_rejected(self):
         model = replace(random_model(3, seed=20), source_format=StlFormat.BINARY)
         with pytest.raises(ChannelUnavailableError):

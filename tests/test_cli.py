@@ -215,6 +215,26 @@ class TestUsageErrors:
     def test_missing_input_file(self, tmp_path):
         assert run_cli(["capacity", tmp_path / "nope.stl"]) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["extract", "{ascii}", "--channel", "facet", "--bits", "-1", "-o", "{out}"],
+            ["embed", "{ascii}", "--channel", "facet", "--payload-hex", "cafe", "--bits", "-3",
+             "-o", "{out}"],
+            ["gen-mesh", "--subdivisions", "9", "-o", "{out}"],
+            ["evaluate", "--channel", "facet", "--trials", "0", "-o", "{out}"],
+            ["evaluate", "--channel", "facet", "--bits", "-4", "-o", "{out}"],
+        ],
+        ids=["extract-bits", "embed-bits", "gen-mesh-subdivisions", "evaluate-trials",
+             "evaluate-bits"],
+    )
+    def test_out_of_range_count(self, args, carrier_ascii, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli([a.format(ascii=carrier_ascii, out=out) for a in args]) == 1
+        err = capsys.readouterr().err
+        assert "error: argument" in err
+        assert not out.exists()
+
     def test_bad_hex_payload(self, carrier_ascii, tmp_path):
         assert run_cli(["embed", carrier_ascii, "--channel", "facet",
                         "--payload-hex", "zz", "-o", tmp_path / "x.stl"]) == 2

@@ -11,6 +11,7 @@ from stlstego import (
     ChannelId,
     Facet,
     RandomSource,
+    SanitizeReport,
     StlFormat,
     StlModel,
     capacity,
@@ -185,6 +186,13 @@ class TestSanitizeAll:
         assert report1.facets_shuffled == report2.facets_shuffled == 40
         assert report1.attributes_zeroed > 0
         assert report2.attributes_zeroed == 0  # first pass cleared them
+
+    def test_report_is_read_off_input_and_output(self):
+        model = random_model(40, seed=12, attributes=True)
+        point = model.facets[0].v1
+        data = write_binary(model.with_facets(model.facets + (Facet(point, point, point),)))
+        reports = {sanitize_all(data, RandomSource.seeded(seed))[1] for seed in range(5)}
+        assert reports == {SanitizeReport(41, 40, 40, 40, StlFormat.BINARY)}
 
     def test_preserve_and_override_formats(self):
         model = random_model(5, seed=15)
