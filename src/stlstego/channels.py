@@ -27,8 +27,10 @@ from the carrier alone.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .bits import BitSequence
 from .errors import (
@@ -37,7 +39,18 @@ from .errors import (
     DegenerateFacetError,
 )
 from .floatfmt import format_scientific, format_standard, parse_float32
-from .model import Facet, StlFormat, StlModel, Vec3, geometry_key, unit_rhr_normal
+from .model import (
+    Facet,
+    StlFormat,
+    StlModel,
+    Vec3,
+    coords,
+    degenerate,
+    extreme_rotation,
+    geometry_key,
+    lex_compare,
+    rhr_normals,
+)
 from .rawdoc import RawAsciiDocument
 from .sanitize import (
     sanitize_facet_channel,
@@ -94,114 +107,114 @@ def compare_facets(f: Facet, g: Facet) -> Ordering:
     return Ordering.EQUAL
 
 
-def _usable_indices(model: StlModel) -> list[int]:
-    return [i for i, f in enumerate(model.facets) if not f.is_degenerate()]
+def _bits(bits) -> np.ndarray:
+    return np.fromiter(bits, dtype=bool, count=len(bits))
 
 
-def _normal_usable_indices(model: StlModel) -> list[int]:
+def _usable_indices(model: StlModel) -> np.ndarray:
+    return np.flatnonzero(~degenerate(model.vertices))
+
+
+def _normal_usable_indices(model: StlModel) -> np.ndarray:
     # zero-area facets, the degenerate ones included, have no RHR normal
-    return [i for i, f in enumerate(model.facets) if unit_rhr_normal(*f.vertices) is not None]
+    return np.flatnonzero(rhr_normals(model.vertices)[1])
 
 
-def _canonical_pair(f: Facet, g: Facet):
-    # smallest facet first
-    cf = geometry_key(f)
-    cg = geometry_key(g)
-    return (cf, cg) if cf <= cg else (cg, cf)
-
-
-def _halves(facets, run) -> tuple:
-    """Canonical forms of an order run's two halves: one geometry key each
-    for a pair, one canonical pair each for a run of four."""
-    if len(run) == 2:
-        i, j = run
-        return geometry_key(facets[i]), geometry_key(facets[j])
-    i0, i1, i2, i3 = run
-    return _canonical_pair(facets[i0], facets[i1]), _canonical_pair(facets[i2], facets[i3])
+def _halves(model: StlModel, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical forms of each order run's two halves: one geometry key
+    each for a pair, one canonical pair (smallest key first) each for a run
+    of four. runs is an (m, 2) or (m, 4) index array."""
+    keys = extreme_rotation(model.vertices[runs.reshape(-1)], -1).reshape(*runs.shape, 9)
+    if runs.shape[1] == 2:
+        return keys[:, 0], keys[:, 1]
+    halves = []
+    for a, b in ((keys[:, 0], keys[:, 1]), (keys[:, 2], keys[:, 3])):
+        swap = (lex_compare(a, b) > 0)[:, None]
+        halves.append(np.where(swap, np.hstack([b, a]), np.hstack([a, b])))
+    return halves[0], halves[1]
 
 
 def _order_runs(width: int):
     """Slots of the order channels: disjoint runs of `width` consecutive
-    usable facets whose two halves differ canonically."""
+    usable facets whose two halves differ canonically, an (m, width) array."""
 
-    def slots(model: StlModel) -> list[tuple[int, ...]]:
+    def slots(model: StlModel) -> np.ndarray:
         usable = _usable_indices(model)
-        runs = []
-        for k in range(0, len(usable) - width + 1, width):
-            run = tuple(usable[k : k + width])
-            first, second = _halves(model.facets, run)
-            if first != second:
-                runs.append(run)
-        return runs
+        runs = usable[: len(usable) // width * width].reshape(-1, width)
+        return runs[lex_compare(*_halves(model, runs)) != 0]
 
     return slots
 
 
-def _read_order(model: StlModel, run) -> int:
-    """1 iff the run's first half is canonically greater than its second."""
-    first, second = _halves(model.facets, run)
-    return 1 if first > second else 0
+def _read_order(model: StlModel, runs) -> np.ndarray:
+    """1 iff a run's first half is canonically greater than its second."""
+    return (lex_compare(*_halves(model, runs)) > 0).astype(np.uint8)
 
 
 def _write_order(model: StlModel, runs, bits) -> StlModel:
     """Swap the two halves of each run whose bit differs; nothing crosses run
     boundaries, so the other runs read as before."""
-    facets = list(model.facets)
-    for bit, run in zip(bits, runs):
-        if _read_order(model, run) != bit:
-            half = len(run) // 2
-            for i, j in zip(run[:half], run[half:]):
-                facets[i], facets[j] = facets[j], facets[i]
-    return model.with_facets(facets)
+    runs = runs[: len(bits)]
+    runs = runs[_read_order(model, runs) != _bits(bits)]
+    half = runs.shape[1] // 2
+    order = np.arange(len(model))
+    order[runs[:, :half]] = runs[:, half:]
+    order[runs[:, half:]] = runs[:, :half]
+    return model.with_records(model.records[order])
 
 
-def _read_vertex(model: StlModel, i: int) -> int:
+def _read_vertex(model: StlModel, indices) -> np.ndarray:
     """1 iff v1 is the largest of the facet's vertices."""
-    v1, v2, v3 = model.facets[i].vertices
-    return 1 if v1 == max_vertex(v1, max_vertex(v2, v3)) else 0
+    v1, v2, v3 = model.vertices[indices].transpose(1, 0, 2)
+    return ((lex_compare(v1, v2) >= 0) & (lex_compare(v1, v3) >= 0)).astype(np.uint8)
 
 
 def _write_vertex(model: StlModel, indices, bits) -> StlModel:
-    """Bit 1 lists the largest vertex first, bit 0 the smallest."""
-    facets = list(model.facets)
-    for bit, i in zip(bits, indices):
-        a, b, c = facets[i].vertices
-        rotations = ((a, b, c), (b, c, a), (c, a, b))
-        facets[i] = facets[i].with_vertices(max(rotations) if bit else min(rotations))
-    return model.with_facets(facets)
+    """Bit 1 lists the largest vertex first, bit 0 the smallest: the
+    rotation that Python's max or min picks among the three."""
+    indices = indices[: len(bits)]
+    v = model.vertices[indices]
+    chosen = np.where(_bits(bits)[:, None], extreme_rotation(v, 1), extreme_rotation(v, -1))
+    records = model.records.copy()
+    coords(records)[indices, 1:] = chosen.reshape(-1, 3, 3)
+    return model.with_records(records)
 
 
-def _read_normal(model: StlModel, i: int) -> int:
+def _read_normal(model: StlModel, indices) -> np.ndarray:
     """1 iff the stored normal opposes the computed RHR normal. Zero-length
     stored normals (dot product 0) decode as 0 by convention."""
-    f = model.facets[i]
-    n = unit_rhr_normal(*f.vertices)
-    dot = f.normal[0] * n[0] + f.normal[1] * n[1] + f.normal[2] * n[2]
-    return 1 if dot < 0 else 0
+    n = rhr_normals(model.vertices[indices])[0].astype(np.float64)
+    s = model.normals[indices].astype(np.float64)
+    dot = s[:, 0] * n[:, 0] + s[:, 1] * n[:, 1] + s[:, 2] * n[:, 2]
+    return (dot < 0).astype(np.uint8)
 
 
 def _write_normal(model: StlModel, indices, bits) -> StlModel:
     """Store the exact RHR normal for bit 0 and its negation for bit 1."""
-    facets = list(model.facets)
-    for bit, i in zip(bits, indices):
-        n = unit_rhr_normal(*facets[i].vertices)
-        if bit:
-            n = (0.0 - n[0], 0.0 - n[1], 0.0 - n[2])
-        facets[i] = replace(facets[i], normal=n)
-    return model.with_facets(facets)
+    indices = indices[: len(bits)]
+    n = rhr_normals(model.vertices[indices])[0]
+    records = model.records.copy()
+    # 0 - n, not -n: a zero component stays +0.0
+    coords(records)[indices, 0] = np.where(_bits(bits)[:, None], np.float32(0) - n, n)
+    return model.with_records(records)
 
 
 def _is_scientific(token: str) -> bool:
     return "e" in token or "E" in token
 
 
-def _write_number(doc: RawAsciiDocument, tokens, bits) -> RawAsciiDocument:
+def _read_number(doc: RawAsciiDocument, spans) -> list[int]:
+    text = doc.text
+    return [1 if _is_scientific(text[b:e]) else 0 for b, e in spans]
+
+
+def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     """Bit 0 spells a token in standard notation, bit 1 in scientific.
 
     Tokens already in the requested notation are left untouched; rewritten
     tokens keep their single-precision value exactly.
     """
-    tokens = list(tokens)
+    tokens = doc.number_tokens
     for idx, bit in enumerate(bits):
         token = tokens[idx]
         if bit and not _is_scientific(token):
@@ -211,9 +224,14 @@ def _write_number(doc: RawAsciiDocument, tokens, bits) -> RawAsciiDocument:
     return doc.with_number_tokens(tokens)
 
 
-def _write_whitespace(doc: RawAsciiDocument, runs, bits) -> RawAsciiDocument:
+def _read_whitespace(doc: RawAsciiDocument, spans) -> list[int]:
+    text = doc.text
+    return [1 if "\t" in text[b:e] else 0 for b, e in spans]
+
+
+def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     """Re-indent lines: bit 0 uses spaces, bit 1 tabs, preserving width."""
-    runs = list(runs)
+    runs = doc.indent_runs
     for idx, bit in enumerate(bits):
         runs[idx] = ("\t" if bit else " ") * len(runs[idx])
     return doc.with_indent_runs(runs)
@@ -230,9 +248,11 @@ class Channel:
 
     ``text`` names the carrier kind: a RawAsciiDocument when true, an
     StlModel otherwise. ``slots(carrier)`` lists the positions that hold one
-    bit each, in payload order. ``read(carrier, slot)`` decodes one bit.
-    ``write(carrier, slots, bits)`` returns a new carrier whose first
-    len(bits) slots hold bits; it receives every slot. ``scrub(carrier,
+    bit each, in payload order: index arrays for the model channels,
+    (start, end) spans of the text for the text channels. ``read(carrier,
+    slots)`` decodes one bit per slot. ``write(carrier, slots, bits)``
+    returns a new carrier whose first len(bits) slots hold bits; it
+    receives every slot. ``scrub(carrier,
     rng)`` is the channel's own scrubber.
     """
 
@@ -259,14 +279,12 @@ CHANNELS = {
         lambda model, rng: sanitize_normal_channel(model),
     ),
     ChannelId.NUMBER: Channel(
-        True, lambda doc: doc.number_tokens,
-        lambda doc, token: 1 if _is_scientific(token) else 0,
-        _write_number, _rewrite_canonically,
+        True, lambda doc: doc.number_spans, _read_number, _write_number,
+        _rewrite_canonically,
     ),
     ChannelId.WHITESPACE: Channel(
-        True, lambda doc: doc.indent_runs,
-        lambda doc, run: 1 if "\t" in run else 0,
-        _write_whitespace, _rewrite_canonically,
+        True, lambda doc: doc.indent_spans, _read_whitespace, _write_whitespace,
+        _rewrite_canonically,
     ),
     # exists to defeat a scrubber that only re-randomizes single consecutive
     # pairs, so its scrubber is the full geometric one
@@ -343,7 +361,7 @@ def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     carrier = _as_carrier(carrier, channel)
     slots = spec.slots(carrier)
     _check_capacity(k, len(slots))
-    return BitSequence([spec.read(carrier, slot) for slot in slots[:k]])
+    return BitSequence(spec.read(carrier, slots[:k]))
 
 
 def _codec(channel: ChannelId):

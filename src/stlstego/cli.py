@@ -217,10 +217,9 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
     )
     try:
-        cfg.validate()
-    except ValueError as exc:
+        matrix, stats = run_experiment(cfg)
+    except ValueError as exc:  # run_experiment validates cfg first
         raise CapacityExceededError(str(exc)) from None
-    matrix, stats = run_experiment(cfg)
     out_dir = Path(args.output)
     emit_csv(matrix, stats, out_dir)
     emit_histogram(stats, out_dir / "histogram.svg")

@@ -127,21 +127,13 @@ def run_trial(
     embedded = embed(cfg.carrier, cfg.channel, payload)
     scrubbed = scrub(embedded, rng)
     extracted = extract(scrubbed, cfg.channel, len(payload))
-    survived = np.fromiter(
-        (e == p for e, p in zip(extracted, payload)), dtype=bool, count=len(payload)
-    )
+    survived = np.array(extracted.bits, dtype=np.int8) == np.array(payload.bits, dtype=np.int8)
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
         usable = CHANNELS[ChannelId.VERTEX].slots(embedded)[: len(payload)]
-        arrangement = np.fromiter(
-            (
-                embedded.facets[i].vertices == scrubbed.facets[i].vertices
-                for i in usable
-            ),
-            dtype=bool,
-            count=len(usable),
-        )
+        same = embedded.vertices[usable] == scrubbed.vertices[usable]
+        arrangement = same.all(axis=(1, 2))
     return TrialOutcome(survived=survived, arrangement_unchanged=arrangement)
 
 

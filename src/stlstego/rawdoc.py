@@ -54,6 +54,16 @@ class RawAsciiDocument:
         return self._text
 
     @property
+    def number_spans(self) -> tuple[tuple[int, int], ...]:
+        """(start, end) of each number slot in text, in file order."""
+        return self._number_spans
+
+    @property
+    def indent_spans(self) -> tuple[tuple[int, int], ...]:
+        """(start, end) of each indent slot in text, in file order."""
+        return self._indent_spans
+
+    @property
     def number_tokens(self) -> list[str]:
         """Numeric tokens of `facet normal` and `vertex` statements, in file order."""
         return [self._text[b:e] for b, e in self._number_spans]

@@ -12,11 +12,15 @@ the canonical writer rewrites both uniformly.
 """
 from __future__ import annotations
 
+import os
 import random
 import secrets
-from dataclasses import dataclass, replace
+import struct
+from dataclasses import dataclass
 
-from .model import StlFormat, StlModel, unit_rhr_normal
+import numpy as np
+
+from .model import StlFormat, StlModel, coords, rhr_normals, rotate
 from .stl_io import parse_bytes, serialize
 
 
@@ -37,7 +41,7 @@ class RandomSource:
 
     @classmethod
     def crypto(cls) -> "RandomSource":
-        return cls(secrets.SystemRandom(), "cryptographic")
+        return cls(UrandomIntegers(), "cryptographic")
 
     @classmethod
     def seeded(cls, seed: int) -> "RandomSource":
@@ -49,6 +53,51 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource({self.kind})"
+
+
+_LOW64 = (1 << 64) - 1
+
+
+def _urandom_words() -> tuple[int, ...]:
+    return struct.unpack(f"<{UrandomIntegers.BLOCK}Q", os.urandom(8 * UrandomIntegers.BLOCK))
+
+
+class UrandomIntegers:
+    """Uniform integers from os.urandom, read BLOCK 64-bit words at a time.
+
+    randrange(n) maps a word x to (x * n) >> 64 and rejects the words whose
+    low 64 bits of x * n fall below 2**64 mod n, which makes every result
+    exactly uniform (Lemire, "Fast Random Integer Generation in an
+    Interval", ACM TOMACS 2019). Rejection depends on the words alone,
+    never on what is being shuffled. The buffer belongs to one instance,
+    and a forked child discards the words its parent read. `words` stands
+    in for the OS source in tests.
+    """
+
+    BLOCK = 4096
+    __slots__ = ("_words", "_buffer", "_next", "_pid")
+
+    def __init__(self, words=_urandom_words):
+        self._words = words
+        self._buffer: tuple[int, ...] = ()
+        self._next = 0
+        self._pid = os.getpid()
+
+    def randrange(self, n: int) -> int:
+        if not 0 < n <= 1 << 64:
+            if n <= 0:
+                raise ValueError(f"empty range for randrange({n})")
+            return secrets.randbelow(n)
+        while True:
+            i = self._next
+            if i == len(self._buffer) or self._pid != os.getpid():
+                self._buffer, i, self._pid = self._words(), 0, os.getpid()
+            self._next = i + 1
+            product = self._buffer[i] * n
+            low = product & _LOW64
+            # accept unless low < 2**64 mod n, computed only when low < n
+            if low >= n or low >= (1 << 64) % n:
+                return product >> 64
 
 
 @dataclass(frozen=True)
@@ -72,37 +121,33 @@ def sanitize_facet_channel(model: StlModel, rng: RandomSource) -> StlModel:
     Fisher-Yates: walk i from the end, swap position i with a random
     position j in [0, i]. Facet contents are untouched.
     """
-    facets = list(model.facets)
-    for i in range(len(facets) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
-        facets[i], facets[j] = facets[j], facets[i]
-    return model.with_facets(facets)
+    order = list(range(len(model)))
+    draw = rng.randbelow
+    for i in range(len(order) - 1, 0, -1):
+        j = draw(i + 1)
+        order[i], order[j] = order[j], order[i]
+    return model.with_records(model.records[np.array(order, dtype=np.intp)])
 
 
 def sanitize_vertex_channel(model: StlModel, rng: RandomSource) -> StlModel:
     """Rotate each facet's vertex list left, right, or not at all, each
     with probability 1/3, independently per facet."""
-    facets = []
-    for f in model.facets:
-        turn = rng.randbelow(3)
-        a, b, c = f.vertices
-        if turn == 0:
-            f = f.with_vertices((b, c, a))  # left
-        elif turn == 1:
-            f = f.with_vertices((c, a, b))  # right
-        facets.append(f)
-    return model.with_facets(facets)
+    draw = rng.randbelow
+    turns = np.array([draw(3) for _ in range(len(model))], dtype=np.intp)
+    records = model.records.copy()
+    # turn 0 rotates left (b, c, a), turn 1 right (c, a, b), turn 2 not at all
+    coords(records)[:, 1:] = rotate(model.vertices, (turns + 1) % 3)
+    return model.with_records(records)
 
 
 def sanitize_normal_channel(model: StlModel) -> StlModel:
     """Replace every stored normal with the unit RHR normal computed from
     the vertices; zero-area facets get a zero normal. Attribute words are
     cleared too, since they are writable capacity the geometry never uses."""
-    facets = []
-    for f in model.facets:
-        n = unit_rhr_normal(*f.vertices)
-        facets.append(replace(f, normal=n if n is not None else (0.0, 0.0, 0.0), attribute=0))
-    return model.with_facets(facets)
+    records = model.records.copy()
+    coords(records)[:, 0] = rhr_normals(model.vertices)[0]
+    records["attr"] = 0
+    return model.with_records(records)
 
 
 def sanitize_model(model: StlModel, rng: RandomSource) -> StlModel:
@@ -127,10 +172,12 @@ def sanitize_all(
     model = parse_bytes(data)
     cleaned = sanitize_model(model, rng)
     fmt = output_format if output_format is not None else model.source_format
+    v1, v2, v3 = model.vertices.transpose(1, 0, 2)
+    all_equal = ((v1 == v2) & (v2 == v3)).all(axis=1)
     return serialize(cleaned, fmt), SanitizeReport(
-        facets_shuffled=len(model.facets),
-        vertices_rotated=sum(not f.v1 == f.v2 == f.v3 for f in model.facets),
-        normals_recomputed=sum(f.normal != (0.0, 0.0, 0.0) for f in cleaned.facets),
-        attributes_zeroed=sum(f.attribute != 0 for f in model.facets),
+        facets_shuffled=len(model),
+        vertices_rotated=len(model) - int(np.count_nonzero(all_equal)),
+        normals_recomputed=int(np.count_nonzero(cleaned.normals.any(axis=1))),
+        attributes_zeroed=int(np.count_nonzero(model.records["attr"])),
         format_written=fmt,
     )

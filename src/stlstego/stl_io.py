@@ -19,17 +19,7 @@ import numpy as np
 
 from .errors import StlParseError, StlStegoError, UnrecognizedFormatError
 from .floatfmt import format_standard, parse_float32
-from .model import Facet, StlFormat, StlModel
-
-_RECORD_DTYPE = np.dtype(
-    [
-        ("normal", "<f4", (3,)),
-        ("v1", "<f4", (3,)),
-        ("v2", "<f4", (3,)),
-        ("v3", "<f4", (3,)),
-        ("attr", "<u2"),
-    ]
-)
+from .model import RECORD_DTYPE, StlFormat, StlModel, coords
 
 _NAME_CHARSET = re.compile(r"[^A-Za-z0-9_-]+")
 
@@ -102,12 +92,20 @@ def parse_ascii(text: str) -> StlModel:
             )
         return stmt
 
+    values = []
+    parsed = {}  # each distinct token goes through parse_float32 once
+
+    def read_numbers(tokens, no):
+        for token in tokens:
+            if token not in parsed:
+                parsed[token] = parse_float32(token, no)
+        values.extend(map(parsed.__getitem__, tokens))
+
     no, _, raw, tokens = next_stmt("'solid'")
     if tokens[0] != "solid":
         raise StlParseError(f"expected 'solid', found {tokens[0]!r}", no)
     name = raw.split(None, 1)[1].strip() if len(tokens) > 1 else ""
 
-    facets = []
     while True:
         no, _, _, tokens = next_stmt("'facet' or 'endsolid'")
         if tokens[0] == "endsolid":
@@ -116,18 +114,17 @@ def parse_ascii(text: str) -> StlModel:
             raise StlParseError(f"unknown keyword {tokens[0]!r}", no)
         if len(tokens) != 5 or tokens[1] != "normal":
             raise StlParseError("expected 'facet normal <nx> <ny> <nz>'", no)
-        normal = tuple(parse_float32(t, no) for t in tokens[2:5])
+        read_numbers(tokens[2:5], no)
 
         no, _, _, tokens = next_stmt("'outer loop'")
         if tokens != ["outer", "loop"]:
             raise StlParseError("expected 'outer loop'", no)
 
-        verts = []
         for _ in range(3):
             no, _, _, tokens = next_stmt("'vertex'")
             if tokens[0] != "vertex" or len(tokens) != 4:
                 raise StlParseError("expected 'vertex <x> <y> <z>'", no)
-            verts.append(tuple(parse_float32(t, no) for t in tokens[1:4]))
+            read_numbers(tokens[1:4], no)
 
         no, _, _, tokens = next_stmt("'endloop'")
         if tokens != ["endloop"]:
@@ -136,8 +133,6 @@ def parse_ascii(text: str) -> StlModel:
         if tokens != ["endfacet"]:
             raise StlParseError("expected 'endfacet'", no)
 
-        facets.append(Facet(v1=verts[0], v2=verts[1], v3=verts[2], normal=normal))
-
     extra = next(stmts, None)
     if extra is not None:
         no, _, _, tokens = extra
@@ -145,7 +140,9 @@ def parse_ascii(text: str) -> StlModel:
             raise StlParseError("multiple solids per file are not supported", no)
         raise StlParseError(f"unexpected content after 'endsolid': {tokens[0]!r}", no)
 
-    return StlModel(solid_name=name, facets=tuple(facets), source_format=StlFormat.ASCII)
+    records = np.zeros(len(values) // 12, dtype=RECORD_DTYPE)
+    coords(records)[...] = np.array(values, dtype=np.float32).reshape(-1, 4, 3)
+    return StlModel(solid_name=name, source_format=StlFormat.ASCII, records=records)
 
 
 def parse_binary(data: bytes) -> StlModel:
@@ -159,15 +156,13 @@ def parse_binary(data: bytes) -> StlModel:
             f"length mismatch: count {count} implies {expected} bytes, got {len(data)}"
         )
     name = data[:80].split(b"\x00", 1)[0].decode("ascii", errors="replace").strip()
-    records = np.frombuffer(data, dtype=_RECORD_DTYPE, count=count, offset=84)
+    records = np.frombuffer(data, dtype=RECORD_DTYPE, count=count, offset=84)
     for key in ("normal", "v1", "v2", "v3"):
         if count and not np.isfinite(records[key]).all():
             raise StlParseError(f"non-finite {key} component in binary facet data")
-    facets = tuple(
-        Facet(v1=tuple(a), v2=tuple(b), v3=tuple(c), normal=tuple(n), attribute=attr)
-        for n, a, b, c, attr in zip(*(records[key].tolist() for key in _RECORD_DTYPE.names))
-    )
-    return StlModel(solid_name=name, facets=facets, source_format=StlFormat.BINARY)
+    if records.flags.writeable:  # a mutable buffer; the model must not share it
+        records = records.copy()
+    return StlModel(solid_name=name, source_format=StlFormat.BINARY, records=records)
 
 
 def parse_bytes(data: bytes) -> StlModel:
@@ -181,21 +176,23 @@ def write_canonical_ascii(model: StlModel) -> str:
     """Serialize to canonical ASCII form (see module docstring).
 
     Facet order, vertex order, and stored normal values are written
-    faithfully; only formatting is normalized.
+    faithfully; only formatting is normalized. Each distinct value is
+    formatted once.
     """
     name = sanitize_solid_name(model.solid_name)
-    lines = [f"solid {name}" if name else "solid"]
-    for f in model.facets:
-        nx, ny, nz = (format_standard(c) for c in f.normal)
-        lines.append(f"  facet normal {nx} {ny} {nz}")
-        lines.append("    outer loop")
-        for v in f.vertices:
-            x, y, z = (format_standard(c) for c in v)
-            lines.append(f"      vertex {x} {y} {z}")
-        lines.append("    endloop")
-        lines.append("  endfacet")
-    lines.append(f"endsolid {name}" if name else "endsolid")
-    return "\n".join(lines) + "\n"
+    distinct, which = np.unique(coords(model.records), return_inverse=True)
+    spelled = np.array([format_standard(v) for v in distinct.tolist()], dtype=object)
+    tokens = spelled[which.reshape(-1)].tolist()
+    body = "".join(map(_FACET_TEMPLATE.__mod__, zip(*[iter(tokens)] * 12)))
+    head, tail = (f"solid {name}", f"endsolid {name}") if name else ("solid", "endsolid")
+    return f"{head}\n{body}{tail}\n"
+
+
+_FACET_TEMPLATE = (
+    "  facet normal %s %s %s\n    outer loop\n"
+    + "      vertex %s %s %s\n" * 3
+    + "    endloop\n  endfacet\n"
+)
 
 
 def write_binary(model: StlModel) -> bytes:
@@ -204,12 +201,10 @@ def write_binary(model: StlModel) -> bytes:
     The header holds the sanitized solid name, zero-padded to 80 bytes.
     Attribute words are written from the model unchanged.
     """
-    if len(model.facets) >= 2**32:
+    if len(model) >= 2**32:
         raise StlStegoError("facet count does not fit the u32 count field")
     name = sanitize_solid_name(model.solid_name).encode("ascii")
-    rows = [(f.normal, f.v1, f.v2, f.v3, f.attribute) for f in model.facets]
-    records = np.array(rows, dtype=_RECORD_DTYPE)
-    return name[:80].ljust(80, b"\x00") + struct.pack("<I", len(rows)) + records.tobytes()
+    return name[:80].ljust(80, b"\x00") + struct.pack("<I", len(model)) + model.records.tobytes()
 
 
 def serialize(model: StlModel, fmt: StlFormat) -> bytes:

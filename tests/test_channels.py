@@ -436,3 +436,11 @@ class TestDispatch:
         assert Counter(map(geometry_key, embedded.facets)) == Counter(
             map(geometry_key, icosphere2.facets)
         )
+
+
+def test_text_capacity_counts_the_document_slots(icosphere2):
+    text = write_canonical_ascii(icosphere2).replace("    outer", "\t outer")
+    doc = RawAsciiDocument(text)
+    assert capacity(doc, ChannelId.NUMBER) == len(doc.number_tokens) == 12 * 320
+    assert capacity(doc, ChannelId.WHITESPACE) == len(doc.indent_runs) == 7 * 320
+    assert extract_whitespace(doc, 3) == BitSequence((0, 1, 0))

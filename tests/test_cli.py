@@ -1,6 +1,6 @@
 import pytest
 
-from stlstego import generate_test_mesh, parse_bytes, serialize, StlFormat
+from stlstego import ChannelId, evaluation, generate_test_mesh, parse_bytes, serialize, StlFormat
 from stlstego.cli import main
 
 
@@ -195,6 +195,22 @@ class TestEvaluate:
         assert "mean survival" in stdout
         assert "gate" in stdout
         assert code == 0
+
+    def test_capacity_is_computed_once(self, carrier_ascii, tmp_path, monkeypatch):
+        calls = []
+        original = evaluation.capacity
+
+        def counted(carrier, channel):
+            calls.append(channel)
+            return original(carrier, channel)
+
+        monkeypatch.setattr(evaluation, "capacity", counted)
+        code = run_cli(
+            ["evaluate", carrier_ascii, "--channel", "robust-pair", "--bits", 16,
+             "--trials", 2, "--seed", 5, "-o", tmp_path / "r"]
+        )
+        assert code in (0, 1)  # two trials may fail a gate
+        assert calls == [ChannelId.ROBUST_PAIR]
 
     def test_capacity_error_exit_code(self, carrier_ascii, tmp_path):
         code = run_cli(

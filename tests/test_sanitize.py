@@ -1,9 +1,11 @@
+import os
 import random
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from conftest import LUCY_TEXT, random_model, tagged_model, unit_facet
 from stlstego import (
@@ -28,6 +30,7 @@ from stlstego import (
     write_canonical_ascii,
 )
 from stlstego.model import unit_rhr_normal
+from stlstego.sanitize import UrandomIntegers
 
 
 class ScriptedRng:
@@ -277,3 +280,72 @@ def test_random_source_kinds():
     assert crypto.kind == "cryptographic" and crypto.seed is None
     draws = {crypto.randbelow(1000) for _ in range(50)}
     assert len(draws) > 1
+
+
+class TestUrandomIntegers:
+    """Lemire's bounded draws over a stubbed word source."""
+
+    @staticmethod
+    def source(*block):
+        refills = []
+
+        def words():
+            refills.append(1)
+            return block
+
+        return words, refills
+
+    @pytest.mark.parametrize("n", [3, 7, 1001, 2**32 + 1, 2**63 + 1])
+    def test_rejection_threshold_is_exact(self, n):
+        floor = 2**64 % n
+        inverse = pow(n, -1, 2**64)  # word * n has low 64 bits k for word = k * inverse
+        below, at = (floor - 1) * inverse % 2**64, floor * inverse % 2**64
+        words, refills = self.source(below, at)
+        draws = UrandomIntegers(words)
+        assert draws.randrange(n) == at * n >> 64  # `below` rejected, `at` accepted
+        assert len(refills) == 1
+        draws.randrange(n)  # both words were used up
+        assert len(refills) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 81920, 2**40, 2**64 - 1, 2**64])
+    def test_result_is_below_n(self, n):
+        words, _ = self.source(0, 1, 2**63, 2**64 - 2, 2**64 - 1)
+        draws = UrandomIntegers(words)
+        assert all(0 <= draws.randrange(n) < n for _ in range(50))
+
+    def test_out_of_word_range(self):
+        draws = UrandomIntegers()
+        assert 0 <= draws.randrange(2**70) < 2**70
+        with pytest.raises(ValueError):
+            draws.randrange(0)
+
+    def test_a_new_process_discards_the_buffer(self, monkeypatch):
+        words, refills = self.source(*range(8))
+        draws = UrandomIntegers(words)
+        draws.randrange(2**64)
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        assert draws.randrange(2**64) == 0  # refilled, not the next buffered word
+        assert len(refills) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_draws_fresh_words(self):
+        rng = RandomSource.crypto()
+        rng.randbelow(2**64)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report its next draw and leave at once
+            os.write(write, rng.randbelow(2**64).to_bytes(8, "little"))
+            os._exit(0)
+        os.close(write)
+        child = int.from_bytes(os.read(read, 8), "little")
+        os.close(read)
+        os.waitpid(pid, 0)
+        assert child != rng.randbelow(2**64)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_crypto_draws_are_uniform(self, n):
+        # chi-square goodness of fit; alpha 1e-4 per bound
+        rng = RandomSource.crypto()
+        counts = np.bincount([rng.randbelow(n) for _ in range(3000 * n)], minlength=n)
+        assert len(counts) == n
+        assert chisquare(counts).pvalue > 1e-4

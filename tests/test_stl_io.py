@@ -9,6 +9,7 @@ from conftest import LUCY_TEXT, random_model, unit_facet
 from stlstego import (
     Facet,
     StlFormat,
+    RawAsciiDocument,
     StlModel,
     detect_format,
     generate_test_mesh,
@@ -269,3 +270,55 @@ def test_binary_round_trip_property(model):
     parsed = parse_binary(data)
     assert write_binary(parsed) == data
     assert [f.attribute for f in parsed.facets] == [f.attribute for f in model.facets]
+
+
+class TestOncePerDistinctValue:
+    def test_parse_reads_each_distinct_token_once(self, monkeypatch):
+        from stlstego import stl_io
+
+        text = write_canonical_ascii(generate_test_mesh(2))
+        tokens = RawAsciiDocument(text).number_tokens
+        seen = []
+        original = stl_io.parse_float32
+
+        def counted(token, line=None):
+            seen.append(token)
+            return original(token, line)
+
+        monkeypatch.setattr(stl_io, "parse_float32", counted)
+        model = parse_ascii(text)
+        assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
+        assert [c for f in model.facets for v in (f.normal, *f.vertices) for c in v] == [
+            original(t) for t in tokens
+        ]
+
+    def test_a_repeated_bad_token_reports_its_first_line(self):
+        text = LUCY_TEXT.replace("-13.101", "1e99").replace("5.906999", "1e99")
+        with pytest.raises(StlParseError, match=r"line 4: out of single-precision range: '1e99'"):
+            parse_ascii(text)
+
+    def test_writer_formats_each_distinct_value_once(self, monkeypatch):
+        from stlstego import stl_io
+
+        facets = random_model(6, seed=31).facets
+        signed = Facet(v1=(-0.0, 1.0, 0.0), v2=(0.0, -1.0, 0.0), v3=(1.0, 0.0, -0.0))
+        model = StlModel(solid_name="w", facets=facets + facets[:2] + (signed,))
+        distinct = {c for f in model.facets for v in (f.normal, *f.vertices) for c in v}
+        calls = []
+        original = stl_io.format_standard
+
+        def counted(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(stl_io, "format_standard", counted)
+        text = write_canonical_ascii(model)
+        assert len(calls) == len(distinct)  # 0.0 and -0.0 are one value
+
+        lines = ["solid w"]
+        for f in model.facets:
+            lines.append("  facet normal " + " ".join(map(original, f.normal)))
+            lines.append("    outer loop")
+            lines += ["      vertex " + " ".join(map(original, v)) for v in f.vertices]
+            lines += ["    endloop", "  endfacet"]
+        assert text == "\n".join(lines + ["endsolid w"]) + "\n"
