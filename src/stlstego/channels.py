@@ -212,15 +212,18 @@ def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     """Bit 0 spells a token in standard notation, bit 1 in scientific.
 
     Tokens already in the requested notation are left untouched; rewritten
-    tokens keep their single-precision value exactly.
+    tokens keep their single-precision value exactly. Each distinct token
+    is re-spelled once.
     """
     tokens = doc.number_tokens
+    respelled = {}  # a token only ever turns into the other notation
     for idx, bit in enumerate(bits):
         token = tokens[idx]
-        if bit and not _is_scientific(token):
-            tokens[idx] = format_scientific(parse_float32(token))
-        elif not bit and _is_scientific(token):
-            tokens[idx] = format_standard(parse_float32(token))
+        if bit != _is_scientific(token):
+            if token not in respelled:
+                spell = format_scientific if bit else format_standard
+                respelled[token] = spell(parse_float32(token))
+            tokens[idx] = respelled[token]
     return doc.with_number_tokens(tokens)
 
 

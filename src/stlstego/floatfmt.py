@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from decimal import Decimal
 
 import numpy as np
@@ -19,6 +20,9 @@ from .errors import StlParseError
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NUMBER_EXACT = re.compile(NUMBER_RE.pattern + r"\Z")
 _F32_MAX = float(np.finfo(np.float32).max)
+# packing a double as "f" rounds it to single precision, ties to even, and
+# raises OverflowError when that gives infinity
+_F32 = struct.Struct("f")
 
 
 def is_number_token(token: str) -> bool:
@@ -37,8 +41,10 @@ def parse_float32(token: str, line: int | None = None) -> float:
     if not is_number_token(token):
         raise StlParseError(f"not a number: {token!r}", line)
     wide = float(token)
-    with np.errstate(over="ignore"):
-        value = float(np.float32(wide))
+    try:
+        (value,) = _F32.unpack(_F32.pack(wide))
+    except OverflowError:  # a finite double that rounds to infinity
+        value = math.copysign(math.inf, wide)
     if value != wide:
         value = _settle_midpoint(token, wide, value)
     if not abs(value) <= _F32_MAX:

@@ -2,9 +2,9 @@
 
 Keeps the text exactly as given and indexes, by (start, end) spans, the two
 places where an ASCII file can vary without changing its parsed value. The
-statements come from `stl_io.ascii_statements`, the lexer `parse_ascii`
-reads, so lines end at LF (a CR before it is whitespace) and any whitespace
-separates tokens.
+statements come from `stl_io.ascii_statements`, the statement lexer of the
+grammar `parse_ascii` reads, so lines end at LF (a CR before it is
+whitespace) and any whitespace separates tokens.
 
 - Number slots: the up to three number tokens after a statement that starts
   with `vertex` or `facet normal`, 12 per facet.

@@ -103,10 +103,11 @@ class UrandomIntegers:
 @dataclass(frozen=True)
 class SanitizeReport:
     """What sanitize_all erased. facets_shuffled: facets in the input.
-    vertices_rotated: input facets whose three vertices are not all equal,
-    the vertex lists the rotation pass re-randomizes. attributes_zeroed:
-    nonzero attribute words in the input. normals_recomputed: nonzero
-    normals in the output, as zero area can depend on the rotation drawn."""
+    vertices_rotated: input facets whose three vertices do not all have the
+    same bit pattern, the vertex lists the rotation pass re-randomizes.
+    attributes_zeroed: nonzero attribute words in the input.
+    normals_recomputed: nonzero normals in the output, as zero area can
+    depend on the rotation drawn."""
 
     facets_shuffled: int
     vertices_rotated: int
@@ -172,7 +173,9 @@ def sanitize_all(
     model = parse_bytes(data)
     cleaned = sanitize_model(model, rng)
     fmt = output_format if output_format is not None else model.source_format
-    v1, v2, v3 = model.vertices.transpose(1, 0, 2)
+    # bit patterns, not ==: a rotation of (-0.0, 0, 0), (0, 0, 0), (0, 0, 0)
+    # changes the bytes written
+    v1, v2, v3 = model.vertices.view(np.uint32).transpose(1, 0, 2)
     all_equal = ((v1 == v2) & (v2 == v3)).all(axis=1)
     return serialize(cleaned, fmt), SanitizeReport(
         facets_shuffled=len(model),

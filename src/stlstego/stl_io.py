@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import re
 import struct
+from array import array
+from collections import defaultdict
+from itertools import count
 
 import numpy as np
 
@@ -39,12 +42,12 @@ def detect_format(data: bytes) -> StlFormat:
     """
     if not data:
         raise UnrecognizedFormatError("empty input")
-    stripped = data.lstrip()
-    if stripped[:5] == b"solid" and (len(stripped) == 5 or stripped[5:6] in b" \t\r\n"):
+    text = _solid_text(data)
+    if text is not None:
         try:
-            parse_ascii(data.decode("ascii"))
+            parse_ascii(text)
             return StlFormat.ASCII
-        except (UnicodeDecodeError, StlParseError):
+        except StlParseError:
             pass
     if len(data) >= 84:
         count = struct.unpack_from("<I", data, 80)[0]
@@ -55,11 +58,23 @@ def detect_format(data: bytes) -> StlFormat:
     )
 
 
+def _solid_text(data: bytes) -> str | None:
+    """data as text if it is ASCII and starts with the token `solid`."""
+    stripped = data.lstrip()
+    if stripped[:5] != b"solid" or stripped[5:6] not in b" \t\r\n":
+        return None
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError:
+        return None
+
+
 def ascii_statements(text: str):
     """Yield (line number, offset of the line in text, line, tokens) for
     each non-blank line of an ASCII STL document.
 
-    This is the one lexer of the ASCII grammar: lines end at LF, so a CR
+    The statement lexer of the ASCII grammar, which feeds RawAsciiDocument
+    and explains the texts parse_ascii rejects: lines end at LF, so a CR
     before it is whitespace, and any run of whitespace separates tokens.
     Line numbers start at 1.
     """
@@ -75,13 +90,77 @@ def ascii_statements(text: str):
         lineno, start = lineno + 1, end + 1
 
 
+# The facet scanner. Whitespace inside a statement is whatever str.split()
+# splits on, bar LF; a statement ends at LF, and the separator between two
+# statements also takes blank lines and the next line's indentation.
+_SPACE = r"[^\S\n]"
+_NEXT = _SPACE + r"*\n\s*"
+_NUMBER = r"(\S+)"
+
+
+def _statement(*tokens: str) -> str:
+    return (_SPACE + "+").join(tokens)
+
+
+_HEAD = re.compile(r"\s*solid(?!\S)([^\n]*)")
+_FACET = re.compile(
+    _NEXT + _statement("facet", "normal", _NUMBER, _NUMBER, _NUMBER)
+    + _NEXT + _statement("outer", "loop")
+    + (_NEXT + _statement("vertex", _NUMBER, _NUMBER, _NUMBER)) * 3
+    + _NEXT + "endloop" + _NEXT + "endfacet"
+)
+_TAIL = re.compile(_NEXT + r"endsolid(?!\S)[^\n]*")
+_NON_SPACE = re.compile(r"\S")
+
+
 def parse_ascii(text: str) -> StlModel:
     """Parse a single-solid ASCII STL document.
 
     Statements are line-oriented with arbitrary intra-line whitespace.
     Numeric tokens accept standard and scientific notation and are rounded
     to the nearest single-precision value. Multi-solid files are rejected.
+
+    One compiled pattern matches a whole facet, from `facet normal` to
+    `endfacet`, and captures its 12 number tokens; each distinct token is
+    parsed once. A text the scanner rejects is walked statement by
+    statement (`ascii_statements`) only to raise the StlParseError that
+    names the offending line. Scanner and walker accept the same language,
+    which a differential fuzz in tests/test_stl_io.py pins.
     """
+    model = _scan_facets(text)
+    if model is None:
+        _explain_rejection(text)
+        raise AssertionError("the facet scanner rejected a text the statement walker accepts")
+    return model
+
+
+def _scan_facets(text: str) -> StlModel | None:
+    """The model of a text the facet scanner accepts, or None."""
+    head = _HEAD.match(text)
+    if head is None:
+        return None
+    ids = defaultdict(count().__next__)  # a new token gets the next id
+    token_id = ids.__getitem__
+    numbers = array("I")
+    pos, match = head.end(), _FACET.match
+    while (facet := match(text, pos)) is not None:
+        numbers.extend(map(token_id, facet.groups()))
+        pos = facet.end()
+    tail = _TAIL.match(text, pos)
+    if tail is None or _NON_SPACE.search(text, tail.end()) is not None:
+        return None
+    try:
+        values = np.fromiter(map(parse_float32, ids), dtype=np.float32, count=len(ids))
+    except StlParseError:
+        return None
+    records = np.zeros(len(numbers) // 12, dtype=RECORD_DTYPE)
+    coords(records)[...] = values[np.frombuffer(numbers, dtype=np.uint32)].reshape(-1, 4, 3)
+    return StlModel(solid_name=head[1].strip(), source_format=StlFormat.ASCII, records=records)
+
+
+def _explain_rejection(text: str) -> None:
+    """Walk the statements of a text and raise the StlParseError of the
+    first one that breaks the grammar, with its line number."""
     stmts = ascii_statements(text)
 
     def next_stmt(context: str):
@@ -92,19 +171,17 @@ def parse_ascii(text: str) -> StlModel:
             )
         return stmt
 
-    values = []
-    parsed = {}  # each distinct token goes through parse_float32 once
+    checked = set()  # a repeated bad token is reported at its first line
 
-    def read_numbers(tokens, no):
+    def check_numbers(tokens, no):
         for token in tokens:
-            if token not in parsed:
-                parsed[token] = parse_float32(token, no)
-        values.extend(map(parsed.__getitem__, tokens))
+            if token not in checked:
+                parse_float32(token, no)
+                checked.add(token)
 
-    no, _, raw, tokens = next_stmt("'solid'")
+    no, _, _, tokens = next_stmt("'solid'")
     if tokens[0] != "solid":
         raise StlParseError(f"expected 'solid', found {tokens[0]!r}", no)
-    name = raw.split(None, 1)[1].strip() if len(tokens) > 1 else ""
 
     while True:
         no, _, _, tokens = next_stmt("'facet' or 'endsolid'")
@@ -114,7 +191,7 @@ def parse_ascii(text: str) -> StlModel:
             raise StlParseError(f"unknown keyword {tokens[0]!r}", no)
         if len(tokens) != 5 or tokens[1] != "normal":
             raise StlParseError("expected 'facet normal <nx> <ny> <nz>'", no)
-        read_numbers(tokens[2:5], no)
+        check_numbers(tokens[2:5], no)
 
         no, _, _, tokens = next_stmt("'outer loop'")
         if tokens != ["outer", "loop"]:
@@ -124,7 +201,7 @@ def parse_ascii(text: str) -> StlModel:
             no, _, _, tokens = next_stmt("'vertex'")
             if tokens[0] != "vertex" or len(tokens) != 4:
                 raise StlParseError("expected 'vertex <x> <y> <z>'", no)
-            read_numbers(tokens[1:4], no)
+            check_numbers(tokens[1:4], no)
 
         no, _, _, tokens = next_stmt("'endloop'")
         if tokens != ["endloop"]:
@@ -139,10 +216,6 @@ def parse_ascii(text: str) -> StlModel:
         if tokens[0] == "solid":
             raise StlParseError("multiple solids per file are not supported", no)
         raise StlParseError(f"unexpected content after 'endsolid': {tokens[0]!r}", no)
-
-    records = np.zeros(len(values) // 12, dtype=RECORD_DTYPE)
-    coords(records)[...] = np.array(values, dtype=np.float32).reshape(-1, 4, 3)
-    return StlModel(solid_name=name, source_format=StlFormat.ASCII, records=records)
 
 
 def parse_binary(data: bytes) -> StlModel:
@@ -166,8 +239,20 @@ def parse_binary(data: bytes) -> StlModel:
 
 
 def parse_bytes(data: bytes) -> StlModel:
-    """Detect the format of raw bytes and parse them."""
-    if detect_format(data) is StlFormat.ASCII:
+    """Detect the format of raw bytes and parse them.
+
+    ASCII text that starts with `solid` but breaks the grammar, and is no
+    length-consistent binary file either, raises the StlParseError naming
+    the offending line rather than UnrecognizedFormatError.
+    """
+    try:
+        fmt = detect_format(data)
+    except UnrecognizedFormatError:
+        text = _solid_text(data)
+        if text is None:
+            raise
+        return parse_ascii(text)  # raises: detection found it malformed
+    if fmt is StlFormat.ASCII:
         return parse_ascii(data.decode("ascii"))
     return parse_binary(data)
 

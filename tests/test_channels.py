@@ -31,6 +31,7 @@ from stlstego import (
     extract_robust_pair,
     extract_vertex,
     extract_whitespace,
+    generate_test_mesh,
     geometry_key,
     max_vertex,
     parse_ascii,
@@ -42,6 +43,7 @@ from stlstego.errors import (
     ChannelUnavailableError,
     DegenerateFacetError,
 )
+from stlstego.floatfmt import format_scientific
 
 A = vec3(0, 0, 0)
 B = vec3(1, 0, 0)
@@ -378,6 +380,27 @@ class TestNumberCodec:
         doc = RawAsciiDocument(LUCY_TEXT)
         out = embed_number(doc, BitSequence([0] * 24))
         assert out.text == LUCY_TEXT  # every token is already standard
+
+    def test_each_distinct_token_is_respelled_once(self, monkeypatch):
+        from stlstego import channels
+
+        doc = RawAsciiDocument(write_canonical_ascii(generate_test_mesh(2)))
+        tokens = doc.number_tokens
+        seen = []
+        original = channels.parse_float32
+
+        def counted(token, line=None):
+            seen.append(token)
+            return original(token, line)
+
+        monkeypatch.setattr(channels, "parse_float32", counted)
+        ones = embed_number(doc, BitSequence([1] * len(tokens)))
+        assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
+        assert ones.number_tokens == [format_scientific(original(t)) for t in tokens]
+        seen.clear()
+        zeros = embed_number(ones, BitSequence([0] * len(tokens)))
+        assert sorted(seen) == sorted(set(ones.number_tokens))
+        assert zeros.text == doc.text
 
 
 class TestWhitespaceCodec:

@@ -172,13 +172,14 @@ class TestSanitize:
         assert run_cli(["sanitize", carrier_ascii, "--format", "binary", "-o", out]) == 0
         assert parse_bytes(out.read_bytes()).source_format is StlFormat.BINARY
 
-    def test_no_partial_output_on_parse_error(self, tmp_path):
+    def test_no_partial_output_on_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"solid truncated\n  facet normal 0 0 1\n")
         out = tmp_path / "clean.stl"
         assert run_cli(["sanitize", bad, "-o", out]) == 2
         assert not out.exists()
         assert list(tmp_path.glob("*.tmp")) == []
+        assert "line 3: unexpected end of input, expected 'outer loop'" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -197,6 +197,14 @@ class TestSanitizeAll:
         reports = {sanitize_all(data, RandomSource.seeded(seed))[1] for seed in range(5)}
         assert reports == {SanitizeReport(41, 40, 40, 40, StlFormat.BINARY)}
 
+    def test_a_signed_zero_vertex_counts_as_rotated(self):
+        # (-0.0, 0, 0) == (0, 0, 0), but rotating the list moves its bytes
+        facet = Facet(v1=(-0.0, 0.0, 0.0), v2=(0.0, 0.0, 0.0), v3=(0.0, 0.0, 0.0))
+        data = write_binary(StlModel(facets=(facet,)))
+        runs = [sanitize_all(data, RandomSource.seeded(seed)) for seed in range(6)]
+        assert {report.vertices_rotated for _, report in runs} == {1}
+        assert len({out for out, _ in runs}) == 3
+
     def test_preserve_and_override_formats(self):
         model = random_model(5, seed=15)
         ascii_bytes = write_canonical_ascii(model).encode()

@@ -1,27 +1,38 @@
+import random
+import re
 import struct
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LUCY_TEXT, random_model, unit_facet
 from stlstego import (
+    BitSequence,
     Facet,
     StlFormat,
     RawAsciiDocument,
     StlModel,
+    RandomSource,
     detect_format,
+    embed_number,
+    embed_whitespace,
     generate_test_mesh,
     parse_ascii,
     parse_binary,
     parse_bytes,
+    sanitize_all,
     sanitize_solid_name,
     vec3,
     write_binary,
     write_canonical_ascii,
 )
+from stlstego import stl_io
 from stlstego.errors import StlParseError, UnrecognizedFormatError
+from stlstego.floatfmt import parse_float32
+from stlstego.model import coords
 from stlstego.stl_io import ascii_statements
 
 
@@ -110,14 +121,40 @@ class TestParseAscii:
             parse_ascii("solid a\nendsolid a\n\n  junk\n")
 
     def test_memory_stays_a_small_multiple_of_the_input(self):
-        text = write_canonical_ascii(generate_test_mesh(3))
+        text = _stego_text(generate_test_mesh(3), seed=5)
+        assert "\t" in text and "\r\n" in text and "e-" in text
         tracemalloc.start()
         try:
             parse_ascii(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * len(text)
+        assert peak <= 2 * len(text)
+
+
+def _stego_text(model, seed: int) -> str:
+    """model's canonical text with random number notation and indentation,
+    and CRLF line endings."""
+    rng = random.Random(seed)
+    doc = RawAsciiDocument(write_canonical_ascii(model))
+    doc = embed_number(doc, BitSequence(rng.randrange(2) for _ in doc.number_spans))
+    doc = embed_whitespace(doc, BitSequence(rng.randrange(2) for _ in doc.indent_spans))
+    return doc.text.replace("\n", "\r\n")
+
+
+class TestMalformedAsciiBytes:
+    def test_parse_bytes_and_sanitize_all_name_the_line(self):
+        truncated = LUCY_TEXT.encode()[:150]
+        message = r"^line 6: unexpected end of input, expected 'vertex'$"
+        with pytest.raises(StlParseError, match=message):
+            parse_bytes(truncated)
+        with pytest.raises(StlParseError, match=message):
+            sanitize_all(truncated, RandomSource.seeded(1))
+
+    @pytest.mark.parametrize("data", [b"solid \xff\nendsolid\n", b"garbage", b"solidx 1\n"])
+    def test_other_unreadable_bytes_stay_unrecognized(self, data):
+        with pytest.raises(UnrecognizedFormatError):
+            parse_bytes(data)
 
 
 def test_ascii_statements_split_lines_at_lf_and_tokens_at_whitespace():
@@ -322,3 +359,116 @@ class TestOncePerDistinctValue:
             lines += ["      vertex " + " ".join(map(original, v)) for v in f.vertices]
             lines += ["    endloop", "  endfacet"]
         assert text == "\n".join(lines + ["endsolid w"]) + "\n"
+
+
+# --- the facet scanner against the statement walker ----------------------------
+
+_FACET = (
+    "facet normal 0 0 1\nouter loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\n"
+    "endloop\nendfacet\n"
+)
+_MIDPOINT = "1.000000059604644775390625"  # 1 + 2**-24, halfway between two float32
+_SCANNER_SEEDS = [
+    LUCY_TEXT,
+    LUCY_TEXT.replace("\n", "\r\n"),
+    LUCY_TEXT.rstrip("\n"),
+    LUCY_TEXT.replace("    ", "\t\x0b").replace("  ", "\x0c\x1c \x1d\x1e\x1f"),
+    LUCY_TEXT.replace("\n", "\n \t\n\n"),
+    LUCY_TEXT.replace("-0.5641\n    outer loop", "-0.5641 outer loop"),
+    LUCY_TEXT.replace("  endfacet\n  facet", "  endfacet junk\n  facet"),
+    LUCY_TEXT + LUCY_TEXT,
+    LUCY_TEXT.replace("-13.101", "1e99"),
+    LUCY_TEXT.replace("52.206", _MIDPOINT).replace("51.81", "-" + _MIDPOINT + "1"),
+    "solid vertex 1 2 3\n" + _FACET + "endsolid\n",
+    "solid\nendsolid",
+    " \n\t solid  my part \r\n" + _FACET + _FACET + "endsolid my part\r\n \n",
+    "solid a\n"
+    + _FACET.replace(" 1\n", " 1\x85\n").replace("0 0 0", "0\xa00\u20280")
+    + "endsolid",
+    _stego_text(generate_test_mesh(0), seed=3),
+]
+_PIECES = [
+    " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
+    "facet", "normal", "outer", "loop", "vertex", "endloop", "endfacet", "solid", "endsolid",
+    "0", "-1.5", "2e3", "1e99", "nan", ".", "e", "-", "x", _MIDPOINT,
+]
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    kind = rng.randrange(8)
+    at = rng.randrange(len(text) + 1)
+    if kind == 0:  # insert a piece
+        return text[:at] + rng.choice(_PIECES) + text[at:]
+    if kind == 1:  # widen a run of whitespace, which keeps most texts valid
+        at = rng.choice([m.start() for m in re.finditer(r"\s", text)] or [at])
+        return text[:at] + rng.choice(_PIECES[:12]) + text[at:]
+    if kind == 2:  # delete a few characters
+        return text[:at] + text[at + rng.randrange(1, 4):]
+    if kind in (3, 4):  # replace a token, or add a piece after it, glued or spaced
+        token = rng.choice(list(re.finditer(r"\S+", text)) or [re.match("", text)])
+        if kind == 3:
+            return text[: token.start()] + rng.choice(_PIECES) + text[token.end():]
+        piece = rng.choice(("", " ")) + rng.choice(_PIECES)
+        return text[: token.end()] + piece + text[token.end():]
+    lines = text.split("\n")
+    i = rng.randrange(len(lines))
+    if kind == 5:  # delete a line
+        del lines[i]
+    elif kind == 6:  # repeat a line
+        lines.insert(i, lines[i])
+    else:  # join two lines
+        lines[i : i + 2] = [" ".join(lines[i : i + 2])]
+    return "\n".join(lines)
+
+
+def _walker_error(text: str) -> str | None:
+    """The statement walker's error message for text, None if it accepts."""
+    try:
+        stl_io._explain_rejection(text)
+    except StlParseError as exc:
+        return str(exc)
+    return None
+
+
+def _expected_scan(text: str):
+    # in an accepted text the numbers are the last three tokens of each
+    # `facet normal` and `vertex` statement
+    stmts = list(ascii_statements(text))
+    values = [parse_float32(t) for *_, tokens in stmts if tokens[0] in ("facet", "vertex")
+              for t in tokens[-3:]]
+    _, _, line, tokens = stmts[0]
+    name = line.split(None, 1)[1].strip() if len(tokens) > 1 else ""
+    return name, np.array(values, dtype=np.float32).tobytes()
+
+
+def _check_scanner_against_walker(text: str) -> bool:
+    model = stl_io._scan_facets(text)
+    error = _walker_error(text)
+    if error is None:
+        assert model is not None, f"scanner rejects {text!r}"
+        name, values = _expected_scan(text)
+        assert model.solid_name == name, text
+        assert coords(model.records).tobytes() == values, text
+        assert not model.records["attr"].any()
+        return True
+    assert model is None, f"scanner accepts {text!r}, walker says {error}"
+    with pytest.raises(StlParseError) as raised:
+        parse_ascii(text)
+    assert str(raised.value) == error
+    return False
+
+
+@pytest.mark.parametrize("text", _SCANNER_SEEDS)
+def test_scanner_matches_the_walker_on_each_seed(text):
+    _check_scanner_against_walker(text)
+
+
+def test_scanner_matches_the_walker_on_mutated_seeds():
+    accepted = 0
+    for case in range(3000):
+        rng = random.Random(case)
+        text = rng.choice(_SCANNER_SEEDS)
+        for _ in range(rng.randrange(1, 4)):
+            text = _mutate(text, rng)
+        accepted += _check_scanner_against_walker(text)
+    assert 200 < accepted < 2800  # both verdicts are well represented
