@@ -13,10 +13,7 @@ from .bits import BitSequence
 from .channels import (
     TEXT_CHANNELS,
     ChannelId,
-    Ordering,
-    canonical_vertex_rotation,
     capacity,
-    compare_facets,
     embed,
     embed_facet,
     embed_normal,
@@ -31,12 +28,10 @@ from .channels import (
     extract_robust_pair,
     extract_vertex,
     extract_whitespace,
-    max_vertex,
 )
 from .errors import (
     CapacityExceededError,
     ChannelUnavailableError,
-    DegenerateFacetError,
     StlParseError,
     StlStegoError,
     UnrecognizedFormatError,

@@ -33,21 +33,14 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitSequence
-from .errors import (
-    CapacityExceededError,
-    ChannelUnavailableError,
-    DegenerateFacetError,
-)
+from .errors import CapacityExceededError, ChannelUnavailableError, StlParseError
 from .floatfmt import format_scientific, format_standard, parse_float32
 from .model import (
-    Facet,
     StlFormat,
     StlModel,
-    Vec3,
     coords,
     degenerate,
     extreme_rotation,
-    geometry_key,
     lex_compare,
     rhr_normals,
 )
@@ -58,7 +51,7 @@ from .sanitize import (
     sanitize_normal_channel,
     sanitize_vertex_channel,
 )
-from .stl_io import detect_format, parse_ascii, parse_bytes, write_canonical_ascii
+from .stl_io import parse_bytes, write_canonical_ascii
 
 
 class ChannelId(enum.Enum):
@@ -68,43 +61,6 @@ class ChannelId(enum.Enum):
     NUMBER = "number"
     WHITESPACE = "whitespace"
     ROBUST_PAIR = "robust-pair"
-
-
-class Ordering(enum.IntEnum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def max_vertex(a: Vec3, b: Vec3) -> Vec3:
-    """The larger vertex, comparing x, then y, then z; returns a on a tie."""
-    return a if a >= b else b
-
-
-def _canonical_key(facet: Facet) -> tuple[Vec3, Vec3, Vec3]:
-    if facet.is_degenerate():
-        raise DegenerateFacetError("facet has repeated vertices")
-    return geometry_key(facet)
-
-
-def canonical_vertex_rotation(facet: Facet) -> Facet:
-    """Rotate the vertex list so the smallest vertex comes first.
-
-    Normal and attribute are unchanged. Idempotent, and all three rotations
-    of a facet map to the same output.
-    """
-    return facet.with_vertices(_canonical_key(facet))
-
-
-def compare_facets(f: Facet, g: Facet) -> Ordering:
-    """Total preorder on facets: canonical vertex triples, lexicographically."""
-    cf = _canonical_key(f)
-    cg = _canonical_key(g)
-    if cf < cg:
-        return Ordering.LESS
-    if cf > cg:
-        return Ordering.GREATER
-    return Ordering.EQUAL
 
 
 def _bits(bits) -> np.ndarray:
@@ -242,7 +198,7 @@ def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
 
 def _rewrite_canonically(doc: RawAsciiDocument, rng) -> RawAsciiDocument:
     # the text channels' scrubber: uniform re-serialization
-    return RawAsciiDocument(write_canonical_ascii(parse_ascii(doc.text)))
+    return RawAsciiDocument(write_canonical_ascii(doc.model))
 
 
 @dataclass(frozen=True)
@@ -307,28 +263,28 @@ def _require_ascii(source: StlFormat, channel: ChannelId) -> None:
 
 def _as_carrier(carrier, channel: ChannelId):
     """The carrier kind the channel reads: a text channel turns an
-    ASCII-sourced StlModel into its canonical text, a model channel parses a
-    RawAsciiDocument."""
+    ASCII-sourced StlModel into its canonical text, a model channel reads a
+    RawAsciiDocument's model."""
     if CHANNELS[channel].text:
         if isinstance(carrier, RawAsciiDocument):
             return carrier
         _require_ascii(carrier.source_format, channel)
         return RawAsciiDocument(write_canonical_ascii(carrier))
     if isinstance(carrier, RawAsciiDocument):
-        return parse_ascii(carrier.text)
+        return carrier.model
     return carrier
 
 
-def load_carrier(data: bytes, channel: ChannelId):
-    """Parse file bytes into the carrier kind the channel reads.
-
-    Text channels get the raw text, so an embed leaves every other byte of
-    the file as it was.
-    """
-    if not CHANNELS[channel].text:
-        return parse_bytes(data)
-    _require_ascii(detect_format(data), channel)
-    return RawAsciiDocument(data.decode("ascii"))
+def load_carrier(data: bytes):
+    """File bytes as a carrier, by parse_bytes's format rule and errors:
+    the RawAsciiDocument of ASCII STL, so a text-channel embed keeps every
+    other byte of the file, or the StlModel of binary STL."""
+    if data.isascii():
+        try:
+            return RawAsciiDocument(data.decode("ascii"))
+        except StlParseError:
+            pass
+    return parse_bytes(data)
 
 
 def _check_capacity(needed: int, available: int) -> None:

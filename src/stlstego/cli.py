@@ -24,7 +24,6 @@ from .errors import (
 from .evaluation import TrialConfig, emit_csv, emit_histogram, run_experiment, statistical_gates
 from .icosphere import generate_test_mesh
 from .model import StlFormat
-from .rawdoc import RawAsciiDocument
 from .sanitize import RandomSource, sanitize_all
 from .stl_io import parse_bytes, serialize
 
@@ -127,15 +126,11 @@ def _cmd_gen_mesh(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    data = Path(args.input).read_bytes()
-    model = parse_bytes(data)
-    # text channels read the raw text; a binary model makes them unavailable
-    ascii_source = model.source_format is StlFormat.ASCII
-    text = RawAsciiDocument(data.decode("ascii")) if ascii_source else model
+    carrier = load_carrier(Path(args.input).read_bytes())
     print(f"{'channel':<12} {'capacity':>10}")
     for channel in ChannelId:
         try:
-            bits = capacity(text if channel in TEXT_CHANNELS else model, channel)
+            bits = capacity(carrier, channel)
         except ChannelUnavailableError:
             bits = "unavailable"
         print(f"{channel.value:<12} {bits:>10}")
@@ -156,7 +151,7 @@ def _load_payload(args) -> BitSequence:
 def _cmd_embed(args) -> int:
     channel = ChannelId(args.channel)
     payload = _load_payload(args)
-    carrier = load_carrier(Path(args.input).read_bytes(), channel)
+    carrier = load_carrier(Path(args.input).read_bytes())
     if channel in TEXT_CHANNELS and args.format == "binary":
         raise StlParseError(
             f"{channel.value} payloads live in the ASCII text; binary output would erase them"
@@ -173,7 +168,7 @@ def _cmd_embed(args) -> int:
 
 def _cmd_extract(args) -> int:
     channel = ChannelId(args.channel)
-    carrier = load_carrier(Path(args.input).read_bytes(), channel)
+    carrier = load_carrier(Path(args.input).read_bytes())
     k = args.bits if args.bits is not None else capacity(carrier, channel)
     bits = extract(carrier, channel, k)
     payload = bits.to_bytes()

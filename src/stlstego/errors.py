@@ -16,10 +16,6 @@ class UnrecognizedFormatError(StlStegoError):
     """Input is neither well-formed ASCII STL nor plausible binary STL."""
 
 
-class DegenerateFacetError(StlStegoError):
-    """Operation requires three pairwise distinct vertices."""
-
-
 class CapacityExceededError(StlStegoError):
     """Payload does not fit in the selected channel of the carrier."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -65,10 +65,6 @@ class Facet:
     @property
     def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
         return (self.v1, self.v2, self.v3)
-
-    def with_vertices(self, verts: tuple[Vec3, Vec3, Vec3]) -> "Facet":
-        a, b, c = verts
-        return replace(self, v1=a, v2=b, v3=c)
 
     def is_degenerate(self) -> bool:
         """True when any two vertices coincide under exact comparison."""
@@ -156,9 +152,6 @@ class StlModel:
     def normals(self) -> np.ndarray:
         """(n, 3) float32 view of the stored normals."""
         return coords(self.records)[:, 0]
-
-    def with_facets(self, facets) -> "StlModel":
-        return StlModel(self.solid_name, tuple(facets), self.source_format)
 
     def with_records(self, records: np.ndarray) -> "StlModel":
         return StlModel(self.solid_name, source_format=self.source_format, records=records)

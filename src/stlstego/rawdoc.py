@@ -2,56 +2,47 @@
 
 Keeps the text exactly as given and indexes, by (start, end) spans, the two
 places where an ASCII file can vary without changing its parsed value. The
-statements come from `stl_io.ascii_statements`, the statement lexer of the
-grammar `parse_ascii` reads, so lines end at LF (a CR before it is
-whitespace) and any whitespace separates tokens.
+text is read by `parse_ascii`'s facet scanner, whose model the document
+keeps, so a text parse_ascii rejects raises the same StlParseError.
 
-- Number slots: the up to three number tokens after a statement that starts
-  with `vertex` or `facet normal`, 12 per facet.
+- Number slots: the 12 numbers the scanner captures per facet, the three
+  after `facet normal` and after each `vertex`, in file order.
 - Indent slots: the leading spaces and tabs of each indented non-blank line.
 
 Rewriting either kind of slot splices new strings into those spans and
-yields a new document; everything else is untouched.
+yields a new document, read again by the scanner.
 """
 from __future__ import annotations
 
-from .floatfmt import is_number_token
-from .stl_io import ascii_statements
+import re
+
+from .model import StlModel
+from .stl_io import parse_ascii
+
+# Where the indent slots are. It accepts nothing; parse_ascii does that.
+_INDENT = re.compile(r"^(?=[^\S\n]*\S)[ \t]+", re.M)
 
 
 class RawAsciiDocument:
     """ASCII STL text with addressable numbers and indents."""
 
-    __slots__ = ("_text", "_number_spans", "_indent_spans")
+    __slots__ = ("_text", "_model", "_number_spans", "_indent_spans")
 
     def __init__(self, text: str):
         numbers: list[tuple[int, int]] = []
-        indents: list[tuple[int, int]] = []
-        for _, start, line, tokens in ascii_statements(text):
-            indent = len(line) - len(line.lstrip(" \t"))
-            if indent:
-                indents.append((start, start + indent))
-            if tokens[0] == "vertex":
-                first = 1
-            elif tokens[:2] == ["facet", "normal"]:
-                first = 2
-            else:
-                continue
-            end = start
-            for i, token in enumerate(tokens[: first + 3]):
-                begin = text.find(token, end)
-                end = begin + len(token)
-                if i >= first:
-                    if not is_number_token(token):
-                        break
-                    numbers.append((begin, end))
+        self._model = parse_ascii(text, numbers)
         self._text = text
         self._number_spans = tuple(numbers)
-        self._indent_spans = tuple(indents)
+        self._indent_spans = tuple(m.span() for m in _INDENT.finditer(text))
 
     @property
     def text(self) -> str:
         return self._text
+
+    @property
+    def model(self) -> StlModel:
+        """The text's value, as parse_ascii reads it."""
+        return self._model
 
     @property
     def number_spans(self) -> tuple[tuple[int, int], ...]:
@@ -91,4 +82,6 @@ class RawAsciiDocument:
             parts += (self._text[last:begin], new)
             last = end
         parts.append(self._text[last:])
-        return RawAsciiDocument("".join(parts))
+        text = "".join(parts)
+        del parts  # free the pieces before the new text is read
+        return RawAsciiDocument(text)

@@ -59,24 +59,23 @@ def detect_format(data: bytes) -> StlFormat:
 
 
 def _solid_text(data: bytes) -> str | None:
-    """data as text if it is ASCII and starts with the token `solid`."""
-    stripped = data.lstrip()
-    if stripped[:5] != b"solid" or stripped[5:6] not in b" \t\r\n":
+    """data as text if it is ASCII and opens with the grammar's `solid` line."""
+    # isascii stops at a binary file's first byte >= 0x80; decode would copy it all
+    if not data.isascii():
         return None
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError:
-        return None
+    text = data.decode("ascii")
+    return text if _HEAD.match(text) else None
 
 
 def ascii_statements(text: str):
     """Yield (line number, offset of the line in text, line, tokens) for
     each non-blank line of an ASCII STL document.
 
-    The statement lexer of the ASCII grammar, which feeds RawAsciiDocument
-    and explains the texts parse_ascii rejects: lines end at LF, so a CR
-    before it is whitespace, and any run of whitespace separates tokens.
-    Line numbers start at 1.
+    The statement lexer of the ASCII grammar. It accepts nothing: the facet
+    scanner decides which texts are valid, and the lexer only explains the
+    ones parse_ascii rejects. Lines end at LF, so a CR before it is
+    whitespace, and any run of whitespace separates tokens. Line numbers
+    start at 1.
     """
     lineno, start = 1, 0
     while start <= len(text):
@@ -113,7 +112,7 @@ _TAIL = re.compile(_NEXT + r"endsolid(?!\S)[^\n]*")
 _NON_SPACE = re.compile(r"\S")
 
 
-def parse_ascii(text: str) -> StlModel:
+def parse_ascii(text: str, number_spans: list | None = None) -> StlModel:
     """Parse a single-solid ASCII STL document.
 
     Statements are line-oriented with arbitrary intra-line whitespace.
@@ -122,19 +121,21 @@ def parse_ascii(text: str) -> StlModel:
 
     One compiled pattern matches a whole facet, from `facet normal` to
     `endfacet`, and captures its 12 number tokens; each distinct token is
-    parsed once. A text the scanner rejects is walked statement by
-    statement (`ascii_statements`) only to raise the StlParseError that
-    names the offending line. Scanner and walker accept the same language,
-    which a differential fuzz in tests/test_stl_io.py pins.
+    parsed once. Given a list as number_spans, the scanner also appends
+    the (start, end) of each number token to it, in file order. A text the
+    scanner rejects is walked statement by statement (`ascii_statements`)
+    only to raise the StlParseError that names the offending line. Scanner
+    and walker accept the same language, which a differential fuzz in
+    tests/test_stl_io.py pins.
     """
-    model = _scan_facets(text)
+    model = _scan_facets(text, number_spans)
     if model is None:
         _explain_rejection(text)
         raise AssertionError("the facet scanner rejected a text the statement walker accepts")
     return model
 
 
-def _scan_facets(text: str) -> StlModel | None:
+def _scan_facets(text: str, spans: list | None = None) -> StlModel | None:
     """The model of a text the facet scanner accepts, or None."""
     head = _HEAD.match(text)
     if head is None:
@@ -143,9 +144,15 @@ def _scan_facets(text: str) -> StlModel | None:
     token_id = ids.__getitem__
     numbers = array("I")
     pos, match = head.end(), _FACET.match
-    while (facet := match(text, pos)) is not None:
-        numbers.extend(map(token_id, facet.groups()))
-        pos = facet.end()
+    if spans is None:
+        while (facet := match(text, pos)) is not None:
+            numbers.extend(map(token_id, facet.groups()))
+            pos = facet.end()
+    else:  # the same loop, also noting where each number is
+        while (facet := match(text, pos)) is not None:
+            numbers.extend(map(token_id, facet.groups()))
+            spans.extend(map(facet.span, range(1, 13)))
+            pos = facet.end()
     tail = _TAIL.match(text, pos)
     if tail is None or _NON_SPACE.search(text, tail.end()) is not None:
         return None

@@ -5,18 +5,24 @@ from dataclasses import replace
 import pytest
 
 from conftest import LUCY_TEXT, random_facet, random_model, unit_facet
+from scalar_reference import (
+    DegenerateFacetError,
+    Ordering,
+    canonical_vertex_rotation,
+    compare_facets,
+    max_vertex,
+    with_facets,
+    with_vertices,
+)
 from stlstego import (
     BitSequence,
     ChannelId,
     Facet,
-    Ordering,
     RandomSource,
     RawAsciiDocument,
     StlFormat,
     StlModel,
-    canonical_vertex_rotation,
     capacity,
-    compare_facets,
     embed,
     embed_facet,
     embed_normal,
@@ -33,16 +39,11 @@ from stlstego import (
     extract_whitespace,
     generate_test_mesh,
     geometry_key,
-    max_vertex,
     parse_ascii,
     vec3,
     write_canonical_ascii,
 )
-from stlstego.errors import (
-    CapacityExceededError,
-    ChannelUnavailableError,
-    DegenerateFacetError,
-)
+from stlstego.errors import CapacityExceededError, ChannelUnavailableError
 from stlstego.floatfmt import format_scientific
 
 A = vec3(0, 0, 0)
@@ -56,7 +57,7 @@ def abc_facet(order=(A, B, C)) -> Facet:
 
 def shifted(facet: Facet, dx: float) -> Facet:
     move = lambda v: vec3(v[0] + dx, v[1], v[2])
-    return facet.with_vertices(tuple(move(v) for v in facet.vertices))
+    return with_vertices(facet, tuple(move(v) for v in facet.vertices))
 
 
 class TestMaxVertex:
@@ -194,9 +195,7 @@ class TestCapacity:
         ):
             full = capacity(model, channel)
             for i in range(len(model.facets)):
-                smaller = model.with_facets(
-                    model.facets[:i] + model.facets[i + 1 :]
-                )
+                smaller = with_facets(model, model.facets[:i] + model.facets[i + 1 :])
                 assert capacity(smaller, channel) <= full
 
 
@@ -335,12 +334,10 @@ class TestRobustPairCodec:
         bit = extract_robust_pair(model, 1)
         scrambled = StlModel(
             facets=(
-                quad[1].with_vertices(
-                    (quad[1].v2, quad[1].v3, quad[1].v1)
-                ),
+                with_vertices(quad[1], (quad[1].v2, quad[1].v3, quad[1].v1)),
                 quad[0],
                 quad[3],
-                quad[2].with_vertices((quad[2].v3, quad[2].v1, quad[2].v2)),
+                with_vertices(quad[2], (quad[2].v3, quad[2].v1, quad[2].v2)),
             )
         )
         assert extract_robust_pair(scrambled, 1) == bit

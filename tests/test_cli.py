@@ -1,6 +1,17 @@
+import re
+
 import pytest
 
-from stlstego import ChannelId, evaluation, generate_test_mesh, parse_bytes, serialize, StlFormat
+from stlstego import (
+    ChannelId,
+    RawAsciiDocument,
+    StlFormat,
+    evaluation,
+    generate_test_mesh,
+    parse_bytes,
+    serialize,
+    stl_io,
+)
 from stlstego.cli import main
 
 
@@ -56,6 +67,28 @@ class TestCapacity:
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"garbage bytes")
         assert run_cli(["capacity", bad]) == 2
+
+    def test_reads_each_distinct_token_once(self, carrier_ascii, capsys, monkeypatch):
+        tokens = RawAsciiDocument(carrier_ascii.read_text()).number_tokens
+        seen = []
+        original = stl_io.parse_float32
+
+        def counted(token, line=None):
+            seen.append(token)
+            return original(token, line)
+
+        monkeypatch.setattr(stl_io, "parse_float32", counted)
+        assert run_cli(["capacity", carrier_ascii]) == 0
+        assert sorted(seen) == sorted(set(tokens))
+        assert capsys.readouterr().out == (
+            "channel        capacity\n"
+            "facet               160\n"
+            "vertex              320\n"
+            "normal              320\n"
+            "number             3840\n"
+            "whitespace         2240\n"
+            "robust-pair          80\n"
+        )
 
 
 PAYLOAD_HEX = "a5f00f5a"
@@ -117,6 +150,14 @@ class TestEmbedExtract:
              "--format", "binary", "-o", tmp_path / "x.stl"]
         )
         assert code == 2
+
+    def test_text_channel_names_the_line_of_a_truncated_file(
+        self, carrier_ascii, tmp_path, capsys
+    ):
+        truncated = tmp_path / "truncated.stl"
+        truncated.write_bytes(carrier_ascii.read_bytes()[:300])
+        assert run_cli(["extract", truncated, "--channel", "number"]) == 2
+        assert re.search(r"line \d+: ", capsys.readouterr().err)
 
     def test_capacity_exceeded(self, carrier_ascii, tmp_path):
         code = run_cli(

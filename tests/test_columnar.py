@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
+from scalar_reference import max_vertex, with_facets, with_vertices
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -22,7 +23,6 @@ from stlstego import (
     StlModel,
     embed,
     geometry_key,
-    max_vertex,
     parse_bytes,
     sanitize_normal_channel,
     serialize,
@@ -91,7 +91,7 @@ def ref_write_vertex(facets, indices, bits):
     for bit, i in zip(bits, indices):
         a, b, c = out[i].vertices
         rotations = ((a, b, c), (b, c, a), (c, a, b))
-        out[i] = out[i].with_vertices(max(rotations) if bit else min(rotations))
+        out[i] = with_vertices(out[i], max(rotations) if bit else min(rotations))
     return out
 
 
@@ -154,7 +154,7 @@ def test_model_channels_match_scalar_reference(channel, model, data):
 
     payload = data.draw(st.lists(st.integers(0, 1), max_size=len(expected)))
     written = spec.write(model, slots, BitSequence(payload))
-    assert bits_of(written) == bits_of(model.with_facets(ref_write(facets, expected, payload)))
+    assert bits_of(written) == bits_of(with_facets(model, ref_write(facets, expected, payload)))
 
 
 def normal_oracle_facets():
@@ -230,8 +230,8 @@ class TestModelValue:
         assert model != replace(model, source_format=StlFormat.BINARY)
         facets = list(model.facets)
         facets[1] = replace(facets[1], attribute=1)
-        assert model != model.with_facets(facets)
-        assert model != model.with_facets(facets[:2])
+        assert model != with_facets(model, facets)
+        assert model != with_facets(model, facets[:2])
 
     def test_records_are_read_only(self):
         model = random_model(2, seed=8)

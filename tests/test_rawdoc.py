@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from stlstego import (
     parse_ascii,
     write_canonical_ascii,
 )
+from stlstego.errors import StlParseError
 from stlstego.floatfmt import parse_float32
 
 
@@ -75,17 +77,22 @@ def test_number_round_trip_leaves_the_name_line_alone():
     assert out_lines[1] == "  facet normal 0e0 0 1e0"
 
 
+# the statements of one facet after `facet normal`, none of them indented
+FACET_BODY = "outer loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nendfacet\n"
+
+
 def test_blank_whitespace_lines_are_not_indented_lines():
-    text = "solid a\n   \n  facet normal 0 0 1\nendsolid a\n"
+    text = "solid a\n   \n  facet normal 0 0 1\n" + FACET_BODY + "endsolid a\n"
     doc = RawAsciiDocument(text)
     assert len(doc.indent_runs) == 1
 
 
 def test_crlf_and_trailing_space_preserved():
-    text = "solid a\r\n\t facet normal 1 2.5e0 3 \r\nendsolid a\r\n"
+    body = FACET_BODY.replace("\n", " \r\n")
+    text = "solid a\r\n\t facet normal 1 2.5e0 3 \r\n" + body + "endsolid a\r\n"
     doc = RawAsciiDocument(text)
     assert doc.text == text
-    assert doc.number_tokens == ["1", "2.5e0", "3"]
+    assert doc.number_tokens == ["1", "2.5e0", "3"] + ["0", "0", "0", "1", "0", "0", "0", "1", "0"]
     assert doc.indent_runs == ["\t "]
 
 
@@ -106,12 +113,35 @@ def test_rewrite_preserves_surroundings():
 printable = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=200
 )
+# one whole facet, so that many framed draws are valid STL
+LUCY_FACET = "\n".join(LUCY_TEXT.split("\n")[1:8])
 
 
-@given(st.lists(printable, max_size=10))
-def test_tokenize_rejoin_identity_on_arbitrary_lines(lines):
+@given(st.lists(st.one_of(printable, st.just(LUCY_FACET)), max_size=10), st.booleans())
+def test_document_accepts_what_parse_ascii_accepts_and_keeps_the_text(lines, framed):
+    if framed:
+        lines = ["solid a", *lines, "endsolid a"]
     text = "\n".join(lines)
-    assert RawAsciiDocument(text).text == text
+    try:
+        parse_ascii(text)
+    except StlParseError as exc:
+        with pytest.raises(StlParseError) as raised:
+            RawAsciiDocument(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert RawAsciiDocument(text).text == text
+
+
+def test_rewrites_of_invalid_text_raise_the_parse_error():
+    doc = RawAsciiDocument(LUCY_TEXT)
+    tokens = doc.number_tokens
+    tokens[3] = "nan"
+    with pytest.raises(StlParseError, match=r"line 4: not a number: 'nan'"):
+        doc.with_number_tokens(tokens)
+    runs = doc.indent_runs
+    runs[0] = "x"
+    with pytest.raises(StlParseError, match=r"line 2: unknown keyword 'xfacet'"):
+        doc.with_indent_runs(runs)
 
 
 @settings(max_examples=25, deadline=None)

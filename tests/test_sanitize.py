@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import LUCY_TEXT, random_model, tagged_model, unit_facet
+from scalar_reference import with_facets
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -193,7 +194,7 @@ class TestSanitizeAll:
     def test_report_is_read_off_input_and_output(self):
         model = random_model(40, seed=12, attributes=True)
         point = model.facets[0].v1
-        data = write_binary(model.with_facets(model.facets + (Facet(point, point, point),)))
+        data = write_binary(with_facets(model, model.facets + (Facet(point, point, point),)))
         reports = {sanitize_all(data, RandomSource.seeded(seed))[1] for seed in range(5)}
         assert reports == {SanitizeReport(41, 40, 40, 40, StlFormat.BINARY)}
 
@@ -244,9 +245,7 @@ class TestSanitizeAll:
         # same facet count, same seed, different content: identical decisions
         m1 = tagged_model(12)
         m2 = random_model(12, seed=20, attributes=False)
-        m2 = m2.with_facets(
-            replace(f, attribute=i) for i, f in enumerate(m2.facets)
-        )
+        m2 = with_facets(m2, (replace(f, attribute=i) for i, f in enumerate(m2.facets)))
         perm1 = [
             f.attribute
             for f in sanitize_facet_channel(m1, RandomSource.seeded(21)).facets

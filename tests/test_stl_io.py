@@ -31,7 +31,7 @@ from stlstego import (
 )
 from stlstego import stl_io
 from stlstego.errors import StlParseError, UnrecognizedFormatError
-from stlstego.floatfmt import parse_float32
+from stlstego.floatfmt import is_number_token, parse_float32
 from stlstego.model import coords
 from stlstego.stl_io import ascii_statements
 
@@ -63,6 +63,15 @@ class TestDetectFormat:
     def test_solid_prefix_requires_token_boundary(self):
         with pytest.raises(UnrecognizedFormatError):
             detect_format(b"solidx but not a real file")
+
+    @pytest.mark.parametrize("head", ["solid\x0ba", "\x1csolid a", "solid\x1fa"])
+    def test_every_head_the_grammar_reads_is_ascii(self, head):
+        # whitespace as str.split() knows it, not only what bytes.strip() strips
+        text = head + LUCY_TEXT[LUCY_TEXT.index("\n"):]
+        data = text.encode("ascii")
+        assert detect_format(data) is StlFormat.ASCII
+        assert parse_bytes(data) == parse_ascii(text)
+        assert len(parse_bytes(sanitize_all(data, RandomSource.seeded(4))[0])) == 2
 
 
 class TestParseAscii:
@@ -441,6 +450,32 @@ def _expected_scan(text: str):
     return name, np.array(values, dtype=np.float32).tobytes()
 
 
+def _reference_slots(text: str):
+    """Number and indent spans found by walking the statements: the up to
+    three number tokens after `vertex` or `facet normal`, and the leading
+    spaces and tabs of each statement line."""
+    numbers, indents = [], []
+    for _, start, line, tokens in ascii_statements(text):
+        indent = len(line) - len(line.lstrip(" \t"))
+        if indent:
+            indents.append((start, start + indent))
+        if tokens[0] == "vertex":
+            first = 1
+        elif tokens[:2] == ["facet", "normal"]:
+            first = 2
+        else:
+            continue
+        end = start
+        for i, token in enumerate(tokens[: first + 3]):
+            begin = text.find(token, end)
+            end = begin + len(token)
+            if i >= first:
+                if not is_number_token(token):
+                    break
+                numbers.append((begin, end))
+    return tuple(numbers), tuple(indents)
+
+
 def _check_scanner_against_walker(text: str) -> bool:
     model = stl_io._scan_facets(text)
     error = _walker_error(text)
@@ -450,11 +485,17 @@ def _check_scanner_against_walker(text: str) -> bool:
         assert model.solid_name == name, text
         assert coords(model.records).tobytes() == values, text
         assert not model.records["attr"].any()
+        doc = RawAsciiDocument(text)
+        assert (doc.number_spans, doc.indent_spans) == _reference_slots(text), text
+        assert doc.model == model
+        if text.isascii():
+            assert detect_format(text.encode("ascii")) is StlFormat.ASCII, text
         return True
     assert model is None, f"scanner accepts {text!r}, walker says {error}"
-    with pytest.raises(StlParseError) as raised:
-        parse_ascii(text)
-    assert str(raised.value) == error
+    for reader in (parse_ascii, RawAsciiDocument):
+        with pytest.raises(StlParseError) as raised:
+            reader(text)
+        assert str(raised.value) == error
     return False
 
 
