@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import BitSequence
-from .errors import CapacityExceededError, ChannelUnavailableError, StlParseError
+from .errors import CapacityExceededError, ChannelUnavailableError
 from .floatfmt import format_scientific, format_standard, parse_float32
 from .model import (
     StlFormat,
@@ -51,7 +51,7 @@ from .sanitize import (
     sanitize_normal_channel,
     sanitize_vertex_channel,
 )
-from .stl_io import parse_bytes, write_canonical_ascii
+from .stl_io import read_stl, write_canonical_ascii
 
 
 class ChannelId(enum.Enum):
@@ -278,13 +278,9 @@ def _as_carrier(carrier, channel: ChannelId):
 def load_carrier(data: bytes):
     """File bytes as a carrier, by parse_bytes's format rule and errors:
     the RawAsciiDocument of ASCII STL, so a text-channel embed keeps every
-    other byte of the file, or the StlModel of binary STL."""
-    if data.isascii():
-        try:
-            return RawAsciiDocument(data.decode("ascii"))
-        except StlParseError:
-            pass
-    return parse_bytes(data)
+    other byte of the file, or the StlModel of binary STL. ASCII text is
+    read once, also when it is malformed."""
+    return read_stl(data, RawAsciiDocument)
 
 
 def _check_capacity(needed: int, available: int) -> None:

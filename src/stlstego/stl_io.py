@@ -33,26 +33,27 @@ def sanitize_solid_name(name: str) -> str:
 
 
 def detect_format(data: bytes) -> StlFormat:
-    """Classify raw bytes as ASCII or binary STL.
+    """Classify raw bytes as ASCII or binary STL, from the bytes alone.
 
-    A file is ASCII iff, after leading whitespace, it starts with the token
-    `solid` and parses to completion under the ASCII grammar. Anything else
-    must satisfy the binary length equation len == 84 + 50 * count. Files
-    that fit neither reading raise UnrecognizedFormatError.
+    The bytes claim ASCII when they are ASCII text that opens with the
+    grammar's `solid` line and whose last non-blank line starts with the
+    token `endsolid`; every text parse_ascii accepts does. They claim
+    binary when they satisfy len == 84 + 50 * count. A single claim
+    decides, whether or not the bytes then parse under it. Bytes that make
+    both claims are ASCII iff the facet scanner accepts them, the one case
+    that parses here. Bytes that make neither raise UnrecognizedFormatError.
     """
     if not data:
         raise UnrecognizedFormatError("empty input")
     text = _solid_text(data)
-    if text is not None:
-        try:
-            parse_ascii(text)
-            return StlFormat.ASCII
-        except StlParseError:
-            pass
-    if len(data) >= 84:
-        count = struct.unpack_from("<I", data, 80)[0]
-        if len(data) == 84 + 50 * count:
-            return StlFormat.BINARY
+    is_ascii = text is not None and _ends_with_endsolid(text)
+    is_binary = len(data) >= 84 and len(data) == 84 + 50 * struct.unpack_from("<I", data, 80)[0]
+    if is_ascii and is_binary:  # all-ASCII and length-consistent: the grammar decides
+        is_binary = _scan_facets(text) is None
+    if is_binary:
+        return StlFormat.BINARY
+    if is_ascii:
+        return StlFormat.ASCII
     raise UnrecognizedFormatError(
         "input is neither well-formed ASCII STL nor a length-consistent binary STL"
     )
@@ -65,6 +66,20 @@ def _solid_text(data: bytes) -> str | None:
         return None
     text = data.decode("ascii")
     return text if _HEAD.match(text) else None
+
+
+def _ends_with_endsolid(text: str) -> bool:
+    """Whether the first token of text's last non-blank line is `endsolid`."""
+    # str.split() splits on what the scanner's \s matches, \x1c-\x1f included;
+    # walking back line by line spares the copy text.rstrip() would make
+    end = len(text)
+    while end >= 0:
+        start = text.rfind("\n", 0, end) + 1
+        first = text[start:end].split(None, 1)[:1]
+        if first:
+            return first == ["endsolid"]
+        end = start - 1
+    return False
 
 
 def ascii_statements(text: str):
@@ -246,21 +261,27 @@ def parse_binary(data: bytes) -> StlModel:
 
 
 def parse_bytes(data: bytes) -> StlModel:
-    """Detect the format of raw bytes and parse them.
+    """Detect the format of raw bytes and parse them, ASCII text once.
 
-    ASCII text that starts with `solid` but breaks the grammar, and is no
-    length-consistent binary file either, raises the StlParseError naming
-    the offending line rather than UnrecognizedFormatError.
+    Bytes that detect_format classifies as ASCII, and ASCII text that opens
+    with `solid` but has no `endsolid` tail, raise the StlParseError naming
+    the offending line when the grammar rejects them.
     """
+    return read_stl(data, parse_ascii)
+
+
+def read_stl(data: bytes, read_ascii):
+    """parse_bytes with read_ascii(text) in place of parse_ascii: the
+    format rule, the errors and the one read of ASCII text are the same."""
     try:
         fmt = detect_format(data)
     except UnrecognizedFormatError:
         text = _solid_text(data)
         if text is None:
             raise
-        return parse_ascii(text)  # raises: detection found it malformed
+        return read_ascii(text)  # raises: the text has no `endsolid` tail
     if fmt is StlFormat.ASCII:
-        return parse_ascii(data.decode("ascii"))
+        return read_ascii(data.decode("ascii"))
     return parse_binary(data)
 
 
@@ -275,9 +296,9 @@ def write_canonical_ascii(model: StlModel) -> str:
     distinct, which = np.unique(coords(model.records), return_inverse=True)
     spelled = np.array([format_standard(v) for v in distinct.tolist()], dtype=object)
     tokens = spelled[which.reshape(-1)].tolist()
-    body = "".join(map(_FACET_TEMPLATE.__mod__, zip(*[iter(tokens)] * 12)))
-    head, tail = (f"solid {name}", f"endsolid {name}") if name else ("solid", "endsolid")
-    return f"{head}\n{body}{tail}\n"
+    del which  # free the index before the facet strings exist
+    head, tail = (f"solid {name}\n", f"endsolid {name}\n") if name else ("solid\n", "endsolid\n")
+    return "".join([head, *map(_FACET_TEMPLATE.__mod__, zip(*[iter(tokens)] * 12)), tail])
 
 
 _FACET_TEMPLATE = (

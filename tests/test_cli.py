@@ -152,12 +152,21 @@ class TestEmbedExtract:
         assert code == 2
 
     def test_text_channel_names_the_line_of_a_truncated_file(
-        self, carrier_ascii, tmp_path, capsys
+        self, carrier_ascii, tmp_path, capsys, monkeypatch
     ):
         truncated = tmp_path / "truncated.stl"
         truncated.write_bytes(carrier_ascii.read_bytes()[:300])
+        explained = []
+        original = stl_io._explain_rejection
+
+        def counted(text):
+            explained.append(len(text))
+            return original(text)
+
+        monkeypatch.setattr(stl_io, "_explain_rejection", counted)
         assert run_cli(["extract", truncated, "--channel", "number"]) == 2
         assert re.search(r"line \d+: ", capsys.readouterr().err)
+        assert explained == [300]  # the malformed text is read once
 
     def test_capacity_exceeded(self, carrier_ascii, tmp_path):
         code = run_cli(

@@ -30,6 +30,7 @@ from stlstego import (
     write_canonical_ascii,
 )
 from stlstego import stl_io
+from stlstego.channels import load_carrier
 from stlstego.errors import StlParseError, UnrecognizedFormatError
 from stlstego.floatfmt import is_number_token, parse_float32
 from stlstego.model import coords
@@ -55,7 +56,7 @@ class TestDetectFormat:
 
     def test_binary_with_solid_header_prefix(self):
         # some exporters write binary files whose header begins with 'solid';
-        # grammar validation, not the prefix, decides
+        # the prefix alone does not make bytes ASCII
         header = b"solid junk".ljust(80, b"\x00")
         data = header + struct.pack("<I", 0)
         assert detect_format(data) is StlFormat.BINARY
@@ -163,6 +164,69 @@ class TestMalformedAsciiBytes:
     @pytest.mark.parametrize("data", [b"solid \xff\nendsolid\n", b"garbage", b"solidx 1\n"])
     def test_other_unreadable_bytes_stay_unrecognized(self, data):
         with pytest.raises(UnrecognizedFormatError):
+            parse_bytes(data)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """Replace stl_io.<name> with a wrapper that records one entry per call."""
+    calls = []
+    original = getattr(stl_io, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stl_io, name, counted)
+    return calls
+
+
+def _ascii_binary(record: bytes) -> bytes:
+    """A length-consistent binary STL of one facet whose bytes are all
+    ASCII: it opens with `solid` and record is its last 50 bytes. Every
+    float32 whose four bytes are below 0x80 is finite."""
+    assert len(record) == 50
+    data = b"solid part".ljust(80, b" ") + struct.pack("<I", 1) + record
+    assert data.isascii()
+    return data
+
+
+class TestOneAsciiRead:
+    def test_valid_ascii_is_scanned_once(self, monkeypatch):
+        data = LUCY_TEXT.encode()
+        scans = _counted(monkeypatch, "_scan_facets")
+        for read in (parse_bytes, lambda d: sanitize_all(d, RandomSource.seeded(1)), load_carrier):
+            scans.clear()
+            read(data)
+            assert len(scans) == 1, read
+
+    def test_malformed_ascii_is_explained_once(self, monkeypatch):
+        truncated = LUCY_TEXT.encode()[:150]
+        explained = _counted(monkeypatch, "_explain_rejection")
+        for read in (parse_bytes, lambda d: sanitize_all(d, RandomSource.seeded(1))):
+            explained.clear()
+            with pytest.raises(StlParseError, match="^line 6: "):
+                read(truncated)
+            assert len(explained) == 1, read
+
+    def test_an_all_ascii_binary_file_that_breaks_the_grammar_is_binary(self):
+        data = _ascii_binary(b"\n  facet junk".ljust(40, b" ") + b"\nendsolid\n")
+        assert data.startswith(b"solid ") and data.split()[-1] == b"endsolid"
+        assert detect_format(data) is StlFormat.BINARY
+        assert parse_bytes(data) == parse_binary(data)
+        out, report = sanitize_all(data, RandomSource.seeded(2))
+        assert report.format_written is StlFormat.BINARY
+        assert len(parse_binary(out)) == 1
+
+    def test_an_all_ascii_binary_file_that_keeps_the_grammar_is_ascii(self):
+        data = _ascii_binary(b" " * 40 + b"\nendsolid\n")
+        assert detect_format(data) is StlFormat.ASCII
+        assert parse_bytes(data) == parse_ascii(data.decode("ascii"))
+        assert sanitize_all(data, RandomSource.seeded(2))[1].format_written is StlFormat.ASCII
+
+    def test_a_broken_middle_between_head_and_tail_is_ascii(self):
+        data = LUCY_TEXT.replace("outer loop", "outer lop", 1).encode()
+        assert detect_format(data) is StlFormat.ASCII
+        with pytest.raises(StlParseError, match=r"^line 3: expected 'outer loop'$"):
             parse_bytes(data)
 
 
@@ -513,3 +577,47 @@ def test_scanner_matches_the_walker_on_mutated_seeds():
             text = _mutate(text, rng)
         accepted += _check_scanner_against_walker(text)
     assert 200 < accepted < 2800  # both verdicts are well represented
+
+
+def _reference_read(data: bytes):
+    """What parse_bytes returns or raises by its defining rule: ASCII iff
+    the grammar accepts the text, else binary iff len == 84 + 50 * count,
+    else the grammar's error for text that opens with `solid`."""
+    text = stl_io._solid_text(data)
+    error = None
+    if text is not None:
+        try:
+            return parse_ascii(text)
+        except StlParseError as exc:
+            error = exc
+    if len(data) >= 84 and len(data) == 84 + 50 * struct.unpack_from("<I", data, 80)[0]:
+        return parse_binary(data)
+    if error is not None:
+        raise error
+    raise UnrecognizedFormatError("neither")
+
+
+def _outcome(read, data: bytes):
+    try:
+        return read(data)
+    except UnrecognizedFormatError:
+        return UnrecognizedFormatError
+    except StlParseError as exc:
+        return str(exc)
+
+
+def test_byte_level_detection_keeps_the_read_path_on_mutated_seeds():
+    for case in range(600):
+        rng = random.Random(case)
+        text = rng.choice(_SCANNER_SEEDS)
+        for _ in range(rng.randrange(1, 4)):
+            text = _mutate(text, rng)
+        if not text.isascii():
+            continue
+        data = text.encode("ascii")
+        expected = _outcome(_reference_read, data)
+        assert _outcome(parse_bytes, data) == expected, text
+        carrier = _outcome(load_carrier, data)
+        assert getattr(carrier, "model", carrier) == expected, text
+        if isinstance(expected, StlModel):
+            assert detect_format(data) is expected.source_format, text
