@@ -45,6 +45,23 @@ def test_seeded_sanitize_all(fmt, carrier):
     assert digest(out) == SANITIZE_GOLDEN[fmt]
 
 
+ICOSPHERE_GOLDEN = {
+    0: "8c46ff9d4cb479df",
+    1: "8d5761f5c08fc43e",
+    2: "064dce7b6d60f928",
+    3: "296e8d4d349488c4",
+    4: "7355f75bba90b7c9",
+    5: "d9498c0f3ec401ce",
+    6: "f37501f83f388147",
+}
+
+
+@pytest.mark.parametrize("subdivisions", sorted(ICOSPHERE_GOLDEN))
+def test_icosphere_records(subdivisions):
+    records = generate_test_mesh(subdivisions).records
+    assert digest(records.tobytes()) == ICOSPHERE_GOLDEN[subdivisions]
+
+
 EMBED_GOLDEN = {
     ChannelId.FACET: "8e201ec0c50306a6",
     ChannelId.VERTEX: "67face780d4c5e74",

@@ -37,6 +37,18 @@ from stlstego.model import coords
 from stlstego.stl_io import ascii_statements
 
 
+def _lucy_head(lines: int) -> str:
+    """The first lines of LUCY_TEXT, each ending in LF."""
+    return "".join(LUCY_TEXT.splitlines(keepends=True)[:lines])
+
+
+def _lucy_line(lineno: int, line: str) -> str:
+    """LUCY_TEXT with its line lineno (1-based) replaced by line."""
+    lines = LUCY_TEXT.splitlines()
+    lines[lineno - 1] = line
+    return "\n".join(lines) + "\n"
+
+
 class TestDetectFormat:
     def test_lucy_is_ascii(self):
         assert detect_format(LUCY_TEXT.encode()) is StlFormat.ASCII
@@ -129,6 +141,37 @@ class TestParseAscii:
     def test_trailing_content_reports_line(self):
         with pytest.raises(StlParseError, match="line 4.*'junk'"):
             parse_ascii("solid a\nendsolid a\n\n  junk\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: unexpected end of input, expected 'solid'"),
+            (_lucy_head(1), "line 2: unexpected end of input, expected 'facet' or 'endsolid'"),
+            (_lucy_head(2), "line 3: unexpected end of input, expected 'outer loop'"),
+            (_lucy_head(3), "line 4: unexpected end of input, expected 'vertex'"),
+            (_lucy_head(6), "line 7: unexpected end of input, expected 'endloop'"),
+            (_lucy_head(7), "line 8: unexpected end of input, expected 'endfacet'"),
+            (_lucy_line(1, "sold StanfordLucy"), "line 1: expected 'solid', found 'sold'"),
+            (_lucy_line(9, "  facets normal 0 0 1"), "line 9: unknown keyword 'facets'"),
+            (_lucy_line(9, "  facet normal 0 0"), "line 9: expected 'facet normal <nx> <ny> <nz>'"),
+            (_lucy_line(10, "    outer loop x"), "line 10: expected 'outer loop'"),
+            (_lucy_line(12, "      vertex 1 2"), "line 12: expected 'vertex <x> <y> <z>'"),
+            (_lucy_line(14, "      vertex 1 2 3"),
+             "line 14: expected 'endloop' after three vertices"),
+            (_lucy_line(15, "  endfacet x"), "line 15: expected 'endfacet'"),
+            (LUCY_TEXT + "solid b\nendsolid b\n",
+             "line 17: multiple solids per file are not supported"),
+            (LUCY_TEXT + "\n  junk\n", "line 18: unexpected content after 'endsolid': 'junk'"),
+            (_lucy_line(12, "      vertex 1 2x 3"), "line 12: not a number: '2x'"),
+            (_lucy_line(13, "      vertex 1 -1e39 3"),
+             "line 13: out of single-precision range: '-1e39'"),
+        ],
+    )
+    def test_each_rejection_message_and_line(self, text, message):
+        for reader in (parse_ascii, RawAsciiDocument):
+            with pytest.raises(StlParseError) as raised:
+                reader(text)
+            assert str(raised.value) == message
 
     def test_memory_stays_a_small_multiple_of_the_input(self):
         text = _stego_text(generate_test_mesh(3), seed=5)
