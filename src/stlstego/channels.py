@@ -196,11 +196,6 @@ def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     return doc.with_indent_runs(runs)
 
 
-def _rewrite_canonically(doc: RawAsciiDocument, rng) -> RawAsciiDocument:
-    # the text channels' scrubber: uniform re-serialization
-    return RawAsciiDocument(write_canonical_ascii(doc.model))
-
-
 @dataclass(frozen=True)
 class Channel:
     """One channel, stated once.
@@ -224,6 +219,8 @@ class Channel:
 
 # The scrubbers are looked up when called, not bound here, so that a wrapper
 # installed on a sanitize function (a profiler, a test) sees these calls too.
+# A text channel's scrubber is uniform re-serialization: the document's model
+# in its canonical text, as _as_carrier makes it.
 CHANNELS = {
     ChannelId.FACET: Channel(
         False, _order_runs(2), _read_order, _write_order,
@@ -239,11 +236,11 @@ CHANNELS = {
     ),
     ChannelId.NUMBER: Channel(
         True, lambda doc: doc.number_spans, _read_number, _write_number,
-        _rewrite_canonically,
+        lambda doc, rng: _as_carrier(doc.model, ChannelId.NUMBER),
     ),
     ChannelId.WHITESPACE: Channel(
         True, lambda doc: doc.indent_spans, _read_whitespace, _write_whitespace,
-        _rewrite_canonically,
+        lambda doc, rng: _as_carrier(doc.model, ChannelId.WHITESPACE),
     ),
     # exists to defeat a scrubber that only re-randomizes single consecutive
     # pairs, so its scrubber is the full geometric one

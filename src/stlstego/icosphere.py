@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Facet, StlFormat, StlModel, unit_rhr_normal, vec3
+from .model import RECORD_DTYPE, StlFormat, StlModel, rhr_normals
 
 _GOLDEN = (1.0 + 5.0**0.5) / 2.0
 
@@ -26,7 +26,8 @@ _ICO_FACES = [
 
 
 def _project(p: np.ndarray, radius: float) -> np.ndarray:
-    return p / np.sqrt(p @ p) * radius
+    """Points of an (..., 3) array moved onto the sphere of this radius."""
+    return p / np.sqrt(np.einsum("...i,...i->...", p, p))[..., None] * radius
 
 
 def generate_test_mesh(subdivisions: int, radius: float = 25.0) -> StlModel:
@@ -34,31 +35,25 @@ def generate_test_mesh(subdivisions: int, radius: float = 25.0) -> StlModel:
     if not 0 <= subdivisions <= 6:
         raise ValueError("subdivisions must be in [0, 6]")
 
-    pts = [_project(np.asarray(v, dtype=np.float64), radius) for v in _ICO_VERTICES]
-    tris = []
-    for a, b, c in _ICO_FACES:
-        va, vb, vc = pts[a], pts[b], pts[c]
-        # orient outward: normal must point away from the sphere center
-        if np.cross(vb - va, vc - va) @ (va + vb + vc) < 0:
-            vb, vc = vc, vb
-        tris.append((va, vb, vc))
+    tris = _project(np.array(_ICO_VERTICES, dtype=np.float64), radius)[_ICO_FACES]
+    a, b, c = tris.transpose(1, 0, 2)
+    # orient outward: normal must point away from the sphere center
+    inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0
+    tris[inward] = tris[inward][:, [0, 2, 1]]
 
     for _ in range(subdivisions):
-        split = []
-        for a, b, c in tris:
-            ab = _project((a + b) / 2.0, radius)
-            bc = _project((b + c) / 2.0, radius)
-            ca = _project((c + a) / 2.0, radius)
-            split += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        tris = split
+        a, b, c = tris.transpose(1, 0, 2)
+        ab = _project((a + b) / 2.0, radius)
+        bc = _project((b + c) / 2.0, radius)
+        ca = _project((c + a) / 2.0, radius)
+        tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3, 3)
 
-    facets = []
-    for a, b, c in tris:
-        v1, v2, v3 = vec3(*a), vec3(*b), vec3(*c)
-        normal = unit_rhr_normal(v1, v2, v3)
-        facets.append(Facet(v1=v1, v2=v2, v3=v3, normal=normal))
+    records = np.zeros(len(tris), dtype=RECORD_DTYPE)
+    vertices = tris.astype(np.float32)
+    records["normal"] = rhr_normals(vertices)[0]
+    records["v1"], records["v2"], records["v3"] = vertices.transpose(1, 0, 2)
     return StlModel(
         solid_name=f"icosphere_{subdivisions}",
-        facets=tuple(facets),
+        records=records,
         source_format=StlFormat.ASCII,
     )

@@ -116,13 +116,23 @@ def _statement(*tokens: str) -> str:
     return (_SPACE + "+").join(tokens)
 
 
-_HEAD = re.compile(r"\s*solid(?!\S)([^\n]*)")
-_FACET = re.compile(
-    _NEXT + _statement("facet", "normal", _NUMBER, _NUMBER, _NUMBER)
-    + _NEXT + _statement("outer", "loop")
-    + (_NEXT + _statement("vertex", _NUMBER, _NUMBER, _NUMBER)) * 3
-    + _NEXT + "endloop" + _NEXT + "endfacet"
+# The statements of a facet, in order: their keywords, how many numbers
+# follow the keywords, and the error of a line that breaks the statement.
+# The facet scanner is compiled from this table and the statement walker
+# reads it, so the two differ only in how they find statements.
+_FACET_GRAMMAR = (
+    ("facet normal", 3, "expected 'facet normal <nx> <ny> <nz>'"),
+    ("outer loop", 0, "expected 'outer loop'"),
+    *[("vertex", 3, "expected 'vertex <x> <y> <z>'")] * 3,
+    ("endloop", 0, "expected 'endloop' after three vertices"),
+    ("endfacet", 0, "expected 'endfacet'"),
 )
+
+_HEAD = re.compile(r"\s*solid(?!\S)([^\n]*)")
+_FACET = re.compile("".join(
+    _NEXT + _statement(*keywords.split(), *[_NUMBER] * numbers)
+    for keywords, numbers, _ in _FACET_GRAMMAR
+))
 _TAIL = re.compile(_NEXT + r"endsolid(?!\S)[^\n]*")
 _NON_SPACE = re.compile(r"\S")
 
@@ -140,7 +150,8 @@ def parse_ascii(text: str, number_spans: list | None = None) -> StlModel:
     the (start, end) of each number token to it, in file order. A text the
     scanner rejects is walked statement by statement (`ascii_statements`)
     only to raise the StlParseError that names the offending line. Scanner
-    and walker accept the same language, which a differential fuzz in
+    and walker read their facet statements from one table, _FACET_GRAMMAR,
+    and accept the same language, which a differential fuzz in
     tests/test_stl_io.py pins.
     """
     model = _scan_facets(text, number_spans)
@@ -195,12 +206,6 @@ def _explain_rejection(text: str) -> None:
 
     checked = set()  # a repeated bad token is reported at its first line
 
-    def check_numbers(tokens, no):
-        for token in tokens:
-            if token not in checked:
-                parse_float32(token, no)
-                checked.add(token)
-
     no, _, _, tokens = next_stmt("'solid'")
     if tokens[0] != "solid":
         raise StlParseError(f"expected 'solid', found {tokens[0]!r}", no)
@@ -211,26 +216,16 @@ def _explain_rejection(text: str) -> None:
             break
         if tokens[0] != "facet":
             raise StlParseError(f"unknown keyword {tokens[0]!r}", no)
-        if len(tokens) != 5 or tokens[1] != "normal":
-            raise StlParseError("expected 'facet normal <nx> <ny> <nz>'", no)
-        check_numbers(tokens[2:5], no)
-
-        no, _, _, tokens = next_stmt("'outer loop'")
-        if tokens != ["outer", "loop"]:
-            raise StlParseError("expected 'outer loop'", no)
-
-        for _ in range(3):
-            no, _, _, tokens = next_stmt("'vertex'")
-            if tokens[0] != "vertex" or len(tokens) != 4:
-                raise StlParseError("expected 'vertex <x> <y> <z>'", no)
-            check_numbers(tokens[1:4], no)
-
-        no, _, _, tokens = next_stmt("'endloop'")
-        if tokens != ["endloop"]:
-            raise StlParseError("expected 'endloop' after three vertices", no)
-        no, _, _, tokens = next_stmt("'endfacet'")
-        if tokens != ["endfacet"]:
-            raise StlParseError("expected 'endfacet'", no)
+        for i, (keywords, numbers, message) in enumerate(_FACET_GRAMMAR):
+            if i:  # the first statement was read above
+                no, _, _, tokens = next_stmt(f"'{keywords}'")
+            words = keywords.split()
+            if tokens[: len(words)] != words or len(tokens) != len(words) + numbers:
+                raise StlParseError(message, no)
+            for token in tokens[len(words):]:
+                if token not in checked:
+                    parse_float32(token, no)
+                    checked.add(token)
 
     extra = next(stmts, None)
     if extra is not None:

@@ -162,7 +162,7 @@ class TestParseAscii:
             (LUCY_TEXT + "solid b\nendsolid b\n",
              "line 17: multiple solids per file are not supported"),
             (LUCY_TEXT + "\n  junk\n", "line 18: unexpected content after 'endsolid': 'junk'"),
-            (_lucy_line(12, "      vertex 1 2x 3"), "line 12: not a number: '2x'"),
+            (_lucy_line(12, "      vertex 1 2x 3y"), "line 12: not a number: '2x'"),
             (_lucy_line(13, "      vertex 1 -1e39 3"),
              "line 13: out of single-precision range: '-1e39'"),
         ],
