@@ -26,6 +26,7 @@ from stlstego import (
     sanitize_model,
     sanitize_normal_channel,
     sanitize_vertex_channel,
+    serialize,
     vec3,
     write_binary,
     write_canonical_ascii,
@@ -278,6 +279,34 @@ def test_sanitize_model_composes_all_three_passes():
     for f in out.facets:
         n = unit_rhr_normal(*f.vertices)
         assert max(abs(a - b) for a, b in zip(n, f.normal)) < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 41, 5120])
+@pytest.mark.parametrize("fmt", [StlFormat.BINARY, StlFormat.ASCII], ids=["binary", "ascii"])
+@pytest.mark.parametrize("source", ["crypto", "seeded"])
+def test_sanitize_all_draws_fixed_bounds_in_order(monkeypatch, n, fmt, source):
+    # wrapped at class level, as the benchmark's tracer counts draws
+    bounds = []
+    randbelow = RandomSource.__dict__["randbelow"]
+
+    def counted(rng, k):
+        bounds.append(k)
+        return randbelow(rng, k)
+
+    monkeypatch.setattr(RandomSource, "randbelow", counted)
+    rng = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(n)
+    sanitize_all(serialize(tagged_model(n), fmt), rng)
+    assert bounds == [*range(n, 1, -1), *[3] * n]
+
+
+def test_seeded_stream_is_random_randrange():
+    bounds = [3, 2, 81920, 2**64, 2**70] * 40
+    for seed in (0, 7, 2**62 + 1):
+        reference = random.Random(seed)
+        source = RandomSource.seeded(seed)
+        assert [source.randbelow(k) for k in bounds] == [
+            reference.randrange(k) for k in bounds
+        ]
 
 
 def test_random_source_kinds():
