@@ -16,6 +16,7 @@ import os
 import random
 import secrets
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,24 +25,41 @@ from .model import StlFormat, StlModel, coords, rhr_normals, rotate
 from .stl_io import parse_bytes, serialize
 
 
+_BLOCK = 4096  # 64-bit words read from os.urandom per refill
+
+
+def _urandom_words() -> tuple[int, ...]:
+    return struct.unpack(f"<{_BLOCK}Q", os.urandom(8 * _BLOCK))
+
+
 class RandomSource:
     """Randomness supply for the scrubbers.
 
     crypto() draws from the OS entropy pool and is the only mode suitable
     for real use. seeded() is deterministic, for reproducible experiments
     and tests; never wire it into a default code path.
+
+    A crypto source maps each 64-bit word x read from os.urandom to
+    (x * n) >> 64, rejecting the words whose low 64 bits of x * n fall
+    below 2**64 mod n, which makes every result exactly uniform (Lemire,
+    "Fast Random Integer Generation in an Interval", ACM TOMACS 2019).
+    Rejection depends on the words alone, never on what is shuffled. Each
+    source buffers _BLOCK words; a forked child drops them before drawing.
     """
 
-    __slots__ = ("_rng", "kind", "seed")
+    __slots__ = ("_rng", "_words", "kind", "seed", "__weakref__")
 
     def __init__(self, rng, kind: str, seed: int | None = None):
         self._rng = rng
+        self._words = iter(())
         self.kind = kind
         self.seed = seed
+        if rng is None:
+            _crypto_sources.add(self)
 
     @classmethod
     def crypto(cls) -> "RandomSource":
-        return cls(UrandomIntegers(), "cryptographic")
+        return cls(None, "cryptographic")
 
     @classmethod
     def seeded(cls, seed: int) -> "RandomSource":
@@ -49,55 +67,36 @@ class RandomSource:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        return self._rng.randrange(n)
+        if self._rng is not None:
+            return self._rng.randrange(n)
+        if not 0 < n <= 1 << 64:
+            if n <= 0:
+                raise ValueError(f"empty range for randbelow({n})")
+            return secrets.randbelow(n)
+        while True:
+            for word in self._words:
+                product = word * n
+                low = product & ((1 << 64) - 1)
+                # accept unless low < 2**64 mod n, computed only when low < n
+                if low >= n or low >= (1 << 64) % n:
+                    return product >> 64
+            self._words = iter(_urandom_words())
 
     def __repr__(self):
         return f"RandomSource({self.kind})"
 
 
-_LOW64 = (1 << 64) - 1
+_crypto_sources = weakref.WeakSet()
 
 
-def _urandom_words() -> tuple[int, ...]:
-    return struct.unpack(f"<{UrandomIntegers.BLOCK}Q", os.urandom(8 * UrandomIntegers.BLOCK))
+def _drop_buffered_words() -> None:
+    """Keep a forked child from replaying the words its parent holds."""
+    for source in _crypto_sources:
+        source._words = iter(())
 
 
-class UrandomIntegers:
-    """Uniform integers from os.urandom, read BLOCK 64-bit words at a time.
-
-    randrange(n) maps a word x to (x * n) >> 64 and rejects the words whose
-    low 64 bits of x * n fall below 2**64 mod n, which makes every result
-    exactly uniform (Lemire, "Fast Random Integer Generation in an
-    Interval", ACM TOMACS 2019). Rejection depends on the words alone,
-    never on what is being shuffled. The buffer belongs to one instance,
-    and a forked child discards the words its parent read. `words` stands
-    in for the OS source in tests.
-    """
-
-    BLOCK = 4096
-    __slots__ = ("_words", "_buffer", "_next", "_pid")
-
-    def __init__(self, words=_urandom_words):
-        self._words = words
-        self._buffer: tuple[int, ...] = ()
-        self._next = 0
-        self._pid = os.getpid()
-
-    def randrange(self, n: int) -> int:
-        if not 0 < n <= 1 << 64:
-            if n <= 0:
-                raise ValueError(f"empty range for randrange({n})")
-            return secrets.randbelow(n)
-        while True:
-            i = self._next
-            if i == len(self._buffer) or self._pid != os.getpid():
-                self._buffer, i, self._pid = self._words(), 0, os.getpid()
-            self._next = i + 1
-            product = self._buffer[i] * n
-            low = product & _LOW64
-            # accept unless low < 2**64 mod n, computed only when low < n
-            if low >= n or low >= (1 << 64) % n:
-                return product >> 64
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_buffered_words)
 
 
 @dataclass(frozen=True)

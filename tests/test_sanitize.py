@@ -32,7 +32,7 @@ from stlstego import (
     write_canonical_ascii,
 )
 from stlstego.model import unit_rhr_normal
-from stlstego.sanitize import UrandomIntegers
+from stlstego import sanitize
 
 
 class ScriptedRng:
@@ -318,49 +318,47 @@ def test_random_source_kinds():
     assert len(draws) > 1
 
 
-class TestUrandomIntegers:
+class TestCryptoDraws:
     """Lemire's bounded draws over a stubbed word source."""
 
     @staticmethod
-    def source(*block):
+    def source(monkeypatch, *block):
         refills = []
 
         def words():
             refills.append(1)
             return block
 
-        return words, refills
+        monkeypatch.setattr(sanitize, "_urandom_words", words)
+        return RandomSource.crypto(), refills
 
     @pytest.mark.parametrize("n", [3, 7, 1001, 2**32 + 1, 2**63 + 1])
-    def test_rejection_threshold_is_exact(self, n):
+    def test_rejection_threshold_is_exact(self, monkeypatch, n):
         floor = 2**64 % n
         inverse = pow(n, -1, 2**64)  # word * n has low 64 bits k for word = k * inverse
         below, at = (floor - 1) * inverse % 2**64, floor * inverse % 2**64
-        words, refills = self.source(below, at)
-        draws = UrandomIntegers(words)
-        assert draws.randrange(n) == at * n >> 64  # `below` rejected, `at` accepted
+        draws, refills = self.source(monkeypatch, below, at)
+        assert draws.randbelow(n) == at * n >> 64  # `below` rejected, `at` accepted
         assert len(refills) == 1
-        draws.randrange(n)  # both words were used up
+        draws.randbelow(n)  # both words were used up
         assert len(refills) == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 81920, 2**40, 2**64 - 1, 2**64])
-    def test_result_is_below_n(self, n):
-        words, _ = self.source(0, 1, 2**63, 2**64 - 2, 2**64 - 1)
-        draws = UrandomIntegers(words)
-        assert all(0 <= draws.randrange(n) < n for _ in range(50))
+    def test_result_is_below_n(self, monkeypatch, n):
+        draws, _ = self.source(monkeypatch, 0, 1, 2**63, 2**64 - 2, 2**64 - 1)
+        assert all(0 <= draws.randbelow(n) < n for _ in range(50))
 
     def test_out_of_word_range(self):
-        draws = UrandomIntegers()
-        assert 0 <= draws.randrange(2**70) < 2**70
+        draws = RandomSource.crypto()
+        assert 0 <= draws.randbelow(2**70) < 2**70
         with pytest.raises(ValueError):
-            draws.randrange(0)
+            draws.randbelow(0)
 
-    def test_a_new_process_discards_the_buffer(self, monkeypatch):
-        words, refills = self.source(*range(8))
-        draws = UrandomIntegers(words)
-        draws.randrange(2**64)
-        monkeypatch.setattr(os, "getpid", lambda: -1)
-        assert draws.randrange(2**64) == 0  # refilled, not the next buffered word
+    def test_the_at_fork_hook_discards_the_buffer(self, monkeypatch):
+        draws, refills = self.source(monkeypatch, *range(8))
+        draws.randbelow(2**64)
+        sanitize._drop_buffered_words()
+        assert draws.randbelow(2**64) == 0  # refilled, not the next buffered word
         assert len(refills) == 2
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -377,6 +375,28 @@ class TestUrandomIntegers:
         os.close(read)
         os.waitpid(pid, 0)
         assert child != rng.randbelow(2**64)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_two_children_of_a_half_used_buffer_draw_apart(self):
+        rng = RandomSource.crypto()
+        for _ in range(sanitize._BLOCK // 2):
+            rng.randbelow(2**64)  # 2**64 rejects nothing: one word per draw
+
+        def next_words():
+            return b"".join(rng.randbelow(2**64).to_bytes(8, "little") for _ in range(4))
+
+        children = []
+        for _ in range(2):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child: report its next four draws and leave at once
+                os.write(write, next_words())
+                os._exit(0)
+            os.close(write)
+            children.append(os.read(read, 32))
+            os.close(read)
+            os.waitpid(pid, 0)
+        assert len(set(children) | {next_words()}) == 3
 
     @pytest.mark.parametrize("n", [3, 7])
     def test_crypto_draws_are_uniform(self, n):
