@@ -67,11 +67,12 @@ class RandomSource:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
-        if self._rng is not None:
-            return self._rng.randrange(n)
+        rng = self._rng
+        if rng is not None:
+            return rng.randrange(n)
         if not 0 < n <= 1 << 64:
             if n <= 0:
-                raise ValueError(f"empty range for randbelow({n})")
+                raise ValueError(f"empty range for randrange({n})")
             return secrets.randbelow(n)
         while True:
             for word in self._words:
