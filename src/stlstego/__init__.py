@@ -10,25 +10,7 @@ evaluation harness that measures per-bit survivability across randomized
 trials.
 """
 from .bits import BitSequence
-from .channels import (
-    TEXT_CHANNELS,
-    ChannelId,
-    capacity,
-    embed,
-    embed_facet,
-    embed_normal,
-    embed_number,
-    embed_robust_pair,
-    embed_vertex,
-    embed_whitespace,
-    extract,
-    extract_facet,
-    extract_normal,
-    extract_number,
-    extract_robust_pair,
-    extract_vertex,
-    extract_whitespace,
-)
+from .channels import ChannelId, capacity, embed, extract
 from .errors import (
     CapacityExceededError,
     ChannelUnavailableError,

@@ -206,8 +206,8 @@ class Channel:
     (start, end) spans of the text for the text channels. ``read(carrier,
     slots)`` decodes one bit per slot. ``write(carrier, slots, bits)``
     returns a new carrier whose first len(bits) slots hold bits; it
-    receives every slot. ``scrub(carrier,
-    rng)`` is the channel's own scrubber.
+    receives every slot. ``scrub(carrier, rng)`` is the channel's own
+    scrubber.
     """
 
     text: bool
@@ -249,9 +249,6 @@ CHANNELS = {
         lambda model, rng: sanitize_model(model, rng),
     ),
 }
-
-TEXT_CHANNELS = frozenset(c for c, spec in CHANNELS.items() if spec.text)
-
 
 def _require_ascii(source: StlFormat, channel: ChannelId) -> None:
     if source is StlFormat.BINARY:
@@ -314,21 +311,3 @@ def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     slots = spec.slots(carrier)
     _check_capacity(k, len(slots))
     return BitSequence(spec.read(carrier, slots[:k]))
-
-
-def _codec(channel: ChannelId):
-    def embed_one(carrier, payload: BitSequence):
-        return embed(carrier, channel, payload)
-
-    def extract_one(carrier, k: int) -> BitSequence:
-        return extract(carrier, channel, k)
-
-    return embed_one, extract_one
-
-
-embed_facet, extract_facet = _codec(ChannelId.FACET)
-embed_vertex, extract_vertex = _codec(ChannelId.VERTEX)
-embed_normal, extract_normal = _codec(ChannelId.NORMAL)
-embed_number, extract_number = _codec(ChannelId.NUMBER)
-embed_whitespace, extract_whitespace = _codec(ChannelId.WHITESPACE)
-embed_robust_pair, extract_robust_pair = _codec(ChannelId.ROBUST_PAIR)

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from .bits import BitSequence
-from .channels import TEXT_CHANNELS, ChannelId, capacity, embed, extract, load_carrier
+from .channels import CHANNELS, ChannelId, capacity, embed, extract, load_carrier
 from .errors import (
     CapacityExceededError,
     ChannelUnavailableError,
@@ -86,7 +86,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="bit-survivability experiment on one channel")
     p.add_argument("input", nargs="?", help="carrier STL (default: built-in icosphere)")
     p.add_argument("--channel", choices=_CHANNEL_NAMES, required=True)
-    p.add_argument("--bits", type=_at_least(0), default=1024)
+    p.add_argument("--bits", type=_at_least(1), default=1024)
     p.add_argument("--trials", type=_at_least(1), default=100)
     p.add_argument("--seed", type=int)
     p.add_argument("-o", "--output", default="eval-out", help="output directory")
@@ -102,6 +102,10 @@ def _write_atomic(path: Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates 0600; give the file the mode open() would have
+        mask = os.umask(0)
+        os.umask(mask)
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -109,17 +113,9 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _output_format(choice: str, source: StlFormat) -> StlFormat:
-    if choice == "ascii":
-        return StlFormat.ASCII
-    if choice == "binary":
-        return StlFormat.BINARY
-    return source
-
-
 def _cmd_gen_mesh(args) -> int:
     model = generate_test_mesh(args.subdivisions)
-    fmt = StlFormat.ASCII if args.format == "ascii" else StlFormat.BINARY
+    fmt = StlFormat(args.format)
     _write_atomic(Path(args.output), serialize(model, fmt))
     print(f"wrote {args.output}: {len(model)} facets, {fmt.value}", file=sys.stderr)
     return 0
@@ -152,15 +148,17 @@ def _cmd_embed(args) -> int:
     channel = ChannelId(args.channel)
     payload = _load_payload(args)
     carrier = load_carrier(Path(args.input).read_bytes())
-    if channel in TEXT_CHANNELS and args.format == "binary":
+    text = CHANNELS[channel].text
+    if text and args.format == "binary":
         raise StlParseError(
             f"{channel.value} payloads live in the ASCII text; binary output would erase them"
         )
     stego = embed(carrier, channel, payload)
-    if channel in TEXT_CHANNELS:
+    if text:
         out = stego.text.encode("ascii")
     else:
-        out = serialize(stego, _output_format(args.format, stego.source_format))
+        fmt = stego.source_format if args.format == "preserve" else StlFormat(args.format)
+        out = serialize(stego, fmt)
     _write_atomic(Path(args.output), out)
     print(f"embedded {len(payload)} bits in {channel.value} channel", file=sys.stderr)
     return 0
@@ -185,7 +183,7 @@ def _cmd_sanitize(args) -> int:
         raise _UsageError("--seed requires --insecure-seed (seeded output is reproducible)")
     rng = RandomSource.seeded(args.seed) if args.seed is not None else RandomSource.crypto()
     data = Path(args.input).read_bytes()
-    fmt = None if args.format == "preserve" else _output_format(args.format, None)
+    fmt = None if args.format == "preserve" else StlFormat(args.format)
     out, report = sanitize_all(data, rng, output_format=fmt)
     _write_atomic(Path(args.output), out)
     print(

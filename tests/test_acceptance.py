@@ -24,11 +24,7 @@ from stlstego import (
     TrialConfig,
     capacity,
     embed,
-    embed_facet,
     extract,
-    extract_facet,
-    extract_number,
-    extract_whitespace,
     generate_test_mesh,
     geometry_key,
     parse_ascii,
@@ -212,10 +208,7 @@ def test_09_implicit_channel_erasure():
     checks = 0
     for carrier_text in (write_canonical_ascii(generate_test_mesh(1)), LUCY_TEXT):
         doc = RawAsciiDocument(carrier_text)
-        for channel, extractor in (
-            (ChannelId.NUMBER, extract_number),
-            (ChannelId.WHITESPACE, extract_whitespace),
-        ):
+        for channel in (ChannelId.NUMBER, ChannelId.WHITESPACE):
             cap = capacity(doc, channel)
             payload = BitSequence(rng.randrange(2) for _ in range(cap))
             stego_text = embed(doc, channel, payload).text
@@ -223,7 +216,7 @@ def test_09_implicit_channel_erasure():
                 stego_text.encode(), RandomSource.seeded(rng.randrange(2**62))
             )
             out_doc = RawAsciiDocument(out.decode())
-            bits = extractor(out_doc, capacity(out_doc, channel))
+            bits = extract(out_doc, channel, capacity(out_doc, channel))
             checks += 1
             if any(bits):
                 all_zero = False
@@ -241,9 +234,9 @@ def test_10_preimage_resistance_proxy(icosphere2):
         ones = 0
         total = 0
         for _ in range(200):
-            stego = write_binary(embed_facet(icosphere2, p))
+            stego = write_binary(embed(icosphere2, ChannelId.FACET, p))
             out, _ = sanitize_all(stego, RandomSource.crypto())
-            bits = extract_facet(parse_binary(out), 128)
+            bits = extract(parse_binary(out), ChannelId.FACET, 128)
             ones += sum(bits)
             total += len(bits)
         table.append([total - ones, ones])

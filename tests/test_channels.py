@@ -14,6 +14,7 @@ from scalar_reference import (
     with_facets,
     with_vertices,
 )
+import stlstego
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -24,19 +25,7 @@ from stlstego import (
     StlModel,
     capacity,
     embed,
-    embed_facet,
-    embed_normal,
-    embed_number,
-    embed_robust_pair,
-    embed_vertex,
-    embed_whitespace,
     extract,
-    extract_facet,
-    extract_normal,
-    extract_number,
-    extract_robust_pair,
-    extract_vertex,
-    extract_whitespace,
     generate_test_mesh,
     geometry_key,
     parse_ascii,
@@ -213,38 +202,38 @@ class TestVertexCodec:
 
     def test_bit_one_lists_maximum_first(self):
         model = StlModel(facets=(abc_facet(),))
-        out = embed_vertex(model, BitSequence((1,)))
+        out = embed(model, ChannelId.VERTEX, BitSequence((1,)))
         assert out.facets[0].vertices == (B, C, A)
         assert out.facets[0].vertices == self.brute_force_state(abc_facet(), 1)
 
     def test_bit_zero_lists_minimum_first(self):
         model = StlModel(facets=(abc_facet((B, C, A)),))
-        out = embed_vertex(model, BitSequence((0,)))
+        out = embed(model, ChannelId.VERTEX, BitSequence((0,)))
         assert out.facets[0].vertices == (A, B, C)
         assert out.facets[0].vertices == self.brute_force_state(abc_facet(), 0)
 
     def test_extract_mirrors_embed(self):
         model = StlModel(facets=(abc_facet((B, C, A)), abc_facet()))
-        assert extract_vertex(model, 2) == BitSequence((1, 0))
-        assert extract_vertex(model, 0) == BitSequence(())
+        assert extract(model, ChannelId.VERTEX, 2) == BitSequence((1, 0))
+        assert extract(model, ChannelId.VERTEX, 0) == BitSequence(())
 
     def test_round_trip_matches_brute_force(self):
         rng = random.Random(11)
         model = random_model(40, seed=11)
         payload = BitSequence(rng.randrange(2) for _ in range(40))
-        embedded = embed_vertex(model, payload)
-        assert extract_vertex(embedded, len(payload)) == payload
+        embedded = embed(model, ChannelId.VERTEX, payload)
+        assert extract(embedded, ChannelId.VERTEX, len(payload)) == payload
         for f, bit in zip(embedded.facets, payload):
             assert f.vertices == self.brute_force_state(f, bit)
 
     def test_facets_beyond_payload_untouched(self):
         model = random_model(10, seed=12)
-        embedded = embed_vertex(model, BitSequence((1, 0, 1)))
+        embedded = embed(model, ChannelId.VERTEX, BitSequence((1, 0, 1)))
         assert embedded.facets[3:] == model.facets[3:]
 
     def test_capacity_enforced(self):
         with pytest.raises(CapacityExceededError):
-            embed_vertex(StlModel(facets=(abc_facet(),)), BitSequence((1, 0)))
+            embed(StlModel(facets=(abc_facet(),)), ChannelId.VERTEX, BitSequence((1, 0)))
 
 
 class TestFacetCodec:
@@ -252,27 +241,27 @@ class TestFacetCodec:
         f = abc_facet()
         greater = shifted(f, 3.0)
         model = StlModel(facets=(greater, f))
-        out = embed_facet(model, BitSequence((0,)))
+        out = embed(model, ChannelId.FACET, BitSequence((0,)))
         assert out.facets == (f, greater)
-        out = embed_facet(model, BitSequence((1,)))
+        out = embed(model, ChannelId.FACET, BitSequence((1,)))
         assert out.facets == (greater, f)
 
     def test_extract_bit_definition(self):
         f = abc_facet()
         greater = shifted(f, 3.0)
-        assert extract_facet(StlModel(facets=(greater, f)), 1) == BitSequence((1,))
-        assert extract_facet(StlModel(facets=(f, greater)), 1) == BitSequence((0,))
+        assert extract(StlModel(facets=(greater, f)), ChannelId.FACET, 1) == BitSequence((1,))
+        assert extract(StlModel(facets=(f, greater)), ChannelId.FACET, 1) == BitSequence((0,))
 
     def test_round_trip_full_capacity(self, icosphere4):
         rng = random.Random(13)
         payload = BitSequence(rng.randrange(2) for _ in range(1024))
-        embedded = embed_facet(icosphere4, payload)
-        assert extract_facet(embedded, 1024) == payload
+        embedded = embed(icosphere4, ChannelId.FACET, payload)
+        assert extract(embedded, ChannelId.FACET, 1024) == payload
 
     def test_multiset_of_canonical_facets_preserved(self, icosphere2):
         rng = random.Random(14)
         payload = BitSequence(rng.randrange(2) for _ in range(100))
-        embedded = embed_facet(icosphere2, payload)
+        embedded = embed(icosphere2, ChannelId.FACET, payload)
         assert Counter(map(geometry_key, embedded.facets)) == Counter(
             map(geometry_key, icosphere2.facets)
         )
@@ -281,25 +270,25 @@ class TestFacetCodec:
 class TestNormalCodec:
     def test_bit_one_negates_rhr_normal(self):
         model = StlModel(facets=(abc_facet(),))
-        out = embed_normal(model, BitSequence((1,)))
+        out = embed(model, ChannelId.NORMAL, BitSequence((1,)))
         assert out.facets[0].normal == (0.0, 0.0, -1.0)
-        out = embed_normal(model, BitSequence((0,)))
+        out = embed(model, ChannelId.NORMAL, BitSequence((0,)))
         assert out.facets[0].normal == (0.0, 0.0, 1.0)
 
     def test_extract_sign_of_dot(self):
         stored_against = replace(abc_facet(), normal=vec3(0.1, -0.2, -0.9))
         stored_with = replace(abc_facet(), normal=vec3(0, 0, 2.5))
         model = StlModel(facets=(stored_against, stored_with))
-        assert extract_normal(model, 2) == BitSequence((1, 0))
+        assert extract(model, ChannelId.NORMAL, 2) == BitSequence((1, 0))
 
     def test_zero_length_normal_decodes_zero(self):
         model = StlModel(facets=(replace(abc_facet(), normal=(0.0, 0.0, 0.0)),))
-        assert extract_normal(model, 1) == BitSequence((0,))
+        assert extract(model, ChannelId.NORMAL, 1) == BitSequence((0,))
 
     def test_zero_area_facets_skipped(self):
         collinear = Facet(v1=vec3(0, 0, 0), v2=vec3(1, 0, 0), v3=vec3(2, 0, 0))
         model = StlModel(facets=(collinear, abc_facet()))
-        out = embed_normal(model, BitSequence((1,)))
+        out = embed(model, ChannelId.NORMAL, BitSequence((1,)))
         assert out.facets[0] == collinear
         assert out.facets[1].normal == (0.0, 0.0, -1.0)
 
@@ -307,7 +296,7 @@ class TestNormalCodec:
         rng = random.Random(15)
         model = random_model(64, seed=15)
         payload = BitSequence(rng.randrange(2) for _ in range(64))
-        assert extract_normal(embed_normal(model, payload), 64) == payload
+        assert extract(embed(model, ChannelId.NORMAL, payload), ChannelId.NORMAL, 64) == payload
 
 
 class TestRobustPairCodec:
@@ -315,15 +304,15 @@ class TestRobustPairCodec:
         base = abc_facet()
         quad = tuple(shifted(base, float(i)) for i in range(4))
         model = StlModel(facets=quad)
-        assert extract_robust_pair(model, 1) == BitSequence((0,))
+        assert extract(model, ChannelId.ROBUST_PAIR, 1) == BitSequence((0,))
         swapped = StlModel(facets=(quad[2], quad[3], quad[0], quad[1]))
-        assert extract_robust_pair(swapped, 1) == BitSequence((1,))
+        assert extract(swapped, ChannelId.ROBUST_PAIR, 1) == BitSequence((1,))
 
     def test_embed_swaps_whole_pairs(self):
         base = abc_facet()
         quad = tuple(shifted(base, float(i)) for i in range(4))
         model = StlModel(facets=quad)
-        out = embed_robust_pair(model, BitSequence((1,)))
+        out = embed(model, ChannelId.ROBUST_PAIR, BitSequence((1,)))
         assert out.facets == (quad[2], quad[3], quad[0], quad[1])
 
     def test_reading_ignores_vertex_rotation_and_pair_order(self):
@@ -331,7 +320,7 @@ class TestRobustPairCodec:
         base = abc_facet()
         quad = [shifted(base, float(i)) for i in range(4)]
         model = StlModel(facets=tuple(quad))
-        bit = extract_robust_pair(model, 1)
+        bit = extract(model, ChannelId.ROBUST_PAIR, 1)
         scrambled = StlModel(
             facets=(
                 with_vertices(quad[1], (quad[1].v2, quad[1].v3, quad[1].v1)),
@@ -340,42 +329,42 @@ class TestRobustPairCodec:
                 with_vertices(quad[2], (quad[2].v3, quad[2].v1, quad[2].v2)),
             )
         )
-        assert extract_robust_pair(scrambled, 1) == bit
+        assert extract(scrambled, ChannelId.ROBUST_PAIR, 1) == bit
 
     def test_round_trip_full_capacity(self, icosphere4):
         rng = random.Random(16)
         payload = BitSequence(rng.randrange(2) for _ in range(1024))
-        embedded = embed_robust_pair(icosphere4, payload)
-        assert extract_robust_pair(embedded, 1024) == payload
+        embedded = embed(icosphere4, ChannelId.ROBUST_PAIR, payload)
+        assert extract(embedded, ChannelId.ROBUST_PAIR, 1024) == payload
 
 
 class TestNumberCodec:
     def test_fig_token_rewrite(self):
         doc = RawAsciiDocument(LUCY_TEXT)
-        assert extract_number(doc, 5)[4] == 0  # "0.527998" is standard notation
+        assert extract(doc, ChannelId.NUMBER, 5)[4] == 0  # "0.527998" is standard notation
         payload = BitSequence([0, 0, 0, 0, 1])
-        out = embed_number(doc, payload)
+        out = embed(doc, ChannelId.NUMBER, payload)
         assert out.number_tokens[4] == "5.27998e-1"
         assert "vertex -13.101 5.27998e-1 52.206" in out.text
 
     def test_all_zero_payload_standardizes_all_tokens(self):
         text = LUCY_TEXT.replace("52.206", "5.2206e1").replace("-0.818", "-8.18e-1")
         doc = RawAsciiDocument(text)
-        out = embed_number(doc, BitSequence([0] * 24))
+        out = embed(doc, ChannelId.NUMBER, BitSequence([0] * 24))
         assert all("e" not in t and "E" not in t for t in out.number_tokens)
-        assert extract_number(out, 24) == BitSequence([0] * 24)
+        assert extract(out, ChannelId.NUMBER, 24) == BitSequence([0] * 24)
 
     def test_round_trip_and_value_preservation(self):
         rng = random.Random(17)
         doc = RawAsciiDocument(LUCY_TEXT)
         payload = BitSequence(rng.randrange(2) for _ in range(24))
-        out = embed_number(doc, payload)
-        assert extract_number(out, 24) == payload
+        out = embed(doc, ChannelId.NUMBER, payload)
+        assert extract(out, ChannelId.NUMBER, 24) == payload
         assert parse_ascii(out.text).facets == parse_ascii(LUCY_TEXT).facets
 
     def test_requested_notation_left_untouched(self):
         doc = RawAsciiDocument(LUCY_TEXT)
-        out = embed_number(doc, BitSequence([0] * 24))
+        out = embed(doc, ChannelId.NUMBER, BitSequence([0] * 24))
         assert out.text == LUCY_TEXT  # every token is already standard
 
     def test_each_distinct_token_is_respelled_once(self, monkeypatch):
@@ -391,11 +380,11 @@ class TestNumberCodec:
             return original(token, line)
 
         monkeypatch.setattr(channels, "parse_float32", counted)
-        ones = embed_number(doc, BitSequence([1] * len(tokens)))
+        ones = embed(doc, ChannelId.NUMBER, BitSequence([1] * len(tokens)))
         assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
         assert ones.number_tokens == [format_scientific(original(t)) for t in tokens]
         seen.clear()
-        zeros = embed_number(ones, BitSequence([0] * len(tokens)))
+        zeros = embed(ones, ChannelId.NUMBER, BitSequence([0] * len(tokens)))
         assert sorted(seen) == sorted(set(ones.number_tokens))
         assert zeros.text == doc.text
 
@@ -404,14 +393,14 @@ class TestWhitespaceCodec:
     def test_space_indented_fixture_reads_zero(self):
         doc = RawAsciiDocument(LUCY_TEXT)
         k = len(doc.indent_runs)
-        assert extract_whitespace(doc, k) == BitSequence([0] * k)
+        assert extract(doc, ChannelId.WHITESPACE, k) == BitSequence([0] * k)
 
     def test_flipping_third_indented_line_sets_bit_two(self):
         doc = RawAsciiDocument(LUCY_TEXT)
         runs = list(doc.indent_runs)
         runs[2] = "\t" * len(runs[2])
         out = doc.with_indent_runs(runs)
-        bits = extract_whitespace(out, 4)
+        bits = extract(out, ChannelId.WHITESPACE, 4)
         assert bits == BitSequence((0, 0, 1, 0))
 
     def test_round_trip_preserves_parse(self):
@@ -419,8 +408,8 @@ class TestWhitespaceCodec:
         doc = RawAsciiDocument(LUCY_TEXT)
         k = len(doc.indent_runs)
         payload = BitSequence(rng.randrange(2) for _ in range(k))
-        out = embed_whitespace(doc, payload)
-        assert extract_whitespace(out, k) == payload
+        out = embed(doc, ChannelId.WHITESPACE, payload)
+        assert extract(out, ChannelId.WHITESPACE, k) == payload
         assert parse_ascii(out.text).facets == parse_ascii(LUCY_TEXT).facets
 
 
@@ -457,10 +446,16 @@ class TestDispatch:
             map(geometry_key, icosphere2.facets)
         )
 
+    def test_embed_and_extract_are_the_whole_channel_api(self):
+        # a channel is one CHANNELS entry; it adds no public name
+        exported = {n for n in dir(stlstego) if n.startswith(("embed", "extract"))}
+        assert exported == {"embed", "extract"}
+        assert not hasattr(stlstego, "TEXT_CHANNELS")
+
 
 def test_text_capacity_counts_the_document_slots(icosphere2):
     text = write_canonical_ascii(icosphere2).replace("    outer", "\t outer")
     doc = RawAsciiDocument(text)
     assert capacity(doc, ChannelId.NUMBER) == len(doc.number_tokens) == 12 * 320
     assert capacity(doc, ChannelId.WHITESPACE) == len(doc.indent_runs) == 7 * 320
-    assert extract_whitespace(doc, 3) == BitSequence((0, 1, 0))
+    assert extract(doc, ChannelId.WHITESPACE, 3) == BitSequence((0, 1, 0))

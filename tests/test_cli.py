@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 
 import pytest
 
@@ -222,6 +224,22 @@ class TestSanitize:
         assert run_cli(["sanitize", carrier_ascii, "--format", "binary", "-o", out]) == 0
         assert parse_bytes(out.read_bytes()).source_format is StlFormat.BINARY
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_output_mode_follows_umask(self, umask, mode, tmp_path):
+        mesh = tmp_path / "mesh.stl"
+        clean = tmp_path / "clean.stl"
+        old = os.umask(umask)
+        try:
+            assert run_cli(["gen-mesh", "--subdivisions", 0, "-o", mesh]) == 0
+            assert run_cli(["sanitize", mesh, "-o", clean]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(mesh.stat().st_mode) == mode
+        assert stat.S_IMODE(clean.stat().st_mode) == mode
+
     def test_no_partial_output_on_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"solid truncated\n  facet normal 0 0 1\n")
@@ -291,9 +309,11 @@ class TestUsageErrors:
             ["gen-mesh", "--subdivisions", "9", "-o", "{out}"],
             ["evaluate", "--channel", "facet", "--trials", "0", "-o", "{out}"],
             ["evaluate", "--channel", "facet", "--bits", "-4", "-o", "{out}"],
+            ["evaluate", "--channel", "facet", "--bits", "0", "--trials", "1", "--seed", "1",
+             "-o", "{out}"],
         ],
         ids=["extract-bits", "embed-bits", "gen-mesh-subdivisions", "evaluate-trials",
-             "evaluate-bits"],
+             "evaluate-bits", "evaluate-zero-bits"],
     )
     def test_out_of_range_count(self, args, carrier_ascii, tmp_path, capsys):
         out = tmp_path / "out"

@@ -8,9 +8,8 @@ from stlstego import (
     ChannelId,
     RawAsciiDocument,
     capacity,
-    embed_number,
-    embed_whitespace,
-    extract_number,
+    embed,
+    extract,
     parse_ascii,
     write_canonical_ascii,
 )
@@ -70,8 +69,8 @@ def test_number_slots_follow_the_grammar():
 def test_number_round_trip_leaves_the_name_line_alone():
     doc = RawAsciiDocument(NAMED_VERTEX_TEXT)
     payload = BitSequence([1, 0, 1] * 4)
-    out = embed_number(doc, payload)
-    assert extract_number(out, 12) == payload
+    out = embed(doc, ChannelId.NUMBER, payload)
+    assert extract(out, ChannelId.NUMBER, 12) == payload
     lines, out_lines = NAMED_VERTEX_TEXT.split("\n"), out.text.split("\n")
     assert out_lines[0] == lines[0] and out_lines[-2] == lines[-2]
     assert out_lines[1] == "  facet normal 0e0 0 1e0"
@@ -154,8 +153,8 @@ def test_slots_agree_with_the_parser(n, seed, data):
     doc = RawAsciiDocument(write_canonical_ascii(random_model(n, seed)))
     number_bits = data.draw(st.lists(st.integers(0, 1), max_size=12 * n))
     indent_bits = data.draw(st.lists(st.integers(0, 1), max_size=7 * n))
-    doc = embed_number(doc, BitSequence(number_bits))
-    doc = embed_whitespace(doc, BitSequence(indent_bits))
+    doc = embed(doc, ChannelId.NUMBER, BitSequence(number_bits))
+    doc = embed(doc, ChannelId.WHITESPACE, BitSequence(indent_bits))
 
     model = parse_ascii(doc.text)
     components = [c for f in model.facets for v in (f.normal, *f.vertices) for c in v]

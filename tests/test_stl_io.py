@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 from conftest import LUCY_TEXT, random_model, unit_facet
 from stlstego import (
     BitSequence,
+    ChannelId,
     Facet,
     StlFormat,
     RawAsciiDocument,
     StlModel,
     RandomSource,
     detect_format,
-    embed_number,
-    embed_whitespace,
+    embed,
     generate_test_mesh,
     parse_ascii,
     parse_binary,
@@ -190,8 +190,8 @@ def _stego_text(model, seed: int) -> str:
     and CRLF line endings."""
     rng = random.Random(seed)
     doc = RawAsciiDocument(write_canonical_ascii(model))
-    doc = embed_number(doc, BitSequence(rng.randrange(2) for _ in doc.number_spans))
-    doc = embed_whitespace(doc, BitSequence(rng.randrange(2) for _ in doc.indent_spans))
+    doc = embed(doc, ChannelId.NUMBER, BitSequence(rng.randrange(2) for _ in doc.number_spans))
+    doc = embed(doc, ChannelId.WHITESPACE, BitSequence(rng.randrange(2) for _ in doc.indent_spans))
     return doc.text.replace("\n", "\r\n")
 
 
