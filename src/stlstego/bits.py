@@ -1,6 +1,8 @@
 """Immutable bit sequences used as embedding payloads."""
 from __future__ import annotations
 
+import numpy as np
+
 
 class BitSequence:
     """An ordered, immutable sequence of 0/1 values."""
@@ -8,6 +10,11 @@ class BitSequence:
     __slots__ = ("_bits",)
 
     def __init__(self, bits=()):
+        if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:
+            if bits.size and bits.max() > 1:
+                raise ValueError("bits must be 0 or 1")
+            self._bits = tuple(bits.tolist())
+            return
         data = tuple(int(b) for b in bits)
         if any(b not in (0, 1) for b in data):
             raise ValueError("bits must be 0 or 1")
@@ -52,24 +59,14 @@ class BitSequence:
         """
         if length is not None and length < 0:
             raise ValueError(f"length must be >= 0, got {length}")
-        bits = []
-        for byte in data:
-            for shift in range(7, -1, -1):
-                bits.append((byte >> shift) & 1)
-        if length is not None:
-            bits = bits[:length] + [0] * (length - len(bits))
+        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        if length is not None:  # unpackbits's own count pads empty input with garbage
+            bits = np.pad(bits[:length], (0, max(length - len(bits), 0)))
         return cls(bits)
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-padding the final partial byte."""
-        out = bytearray()
-        for i in range(0, len(self._bits), 8):
-            chunk = self._bits[i : i + 8]
-            byte = 0
-            for b in chunk:
-                byte = (byte << 1) | b
-            out.append(byte << (8 - len(chunk)))
-        return bytes(out)
+        return np.packbits(np.array(self._bits, dtype=np.uint8)).tobytes()
 
     @classmethod
     def random(cls, length: int, rng) -> "BitSequence":

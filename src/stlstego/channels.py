@@ -159,9 +159,8 @@ def _is_scientific(token: str) -> bool:
     return "e" in token or "E" in token
 
 
-def _read_number(doc: RawAsciiDocument, spans) -> list[int]:
-    text = doc.text
-    return [1 if _is_scientific(text[b:e]) else 0 for b, e in spans]
+def _read_number(doc: RawAsciiDocument, spans) -> np.ndarray:
+    return doc.spans_holding(spans, "eE")
 
 
 def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
@@ -173,19 +172,17 @@ def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     """
     tokens = doc.number_tokens
     respelled = {}  # a token only ever turns into the other notation
-    for idx, bit in enumerate(bits):
+    for idx in np.flatnonzero(_read_number(doc, spans[: len(bits)]) != _bits(bits)).tolist():
         token = tokens[idx]
-        if bit != _is_scientific(token):
-            if token not in respelled:
-                spell = format_scientific if bit else format_standard
-                respelled[token] = spell(parse_float32(token))
-            tokens[idx] = respelled[token]
+        if token not in respelled:
+            spell = format_standard if _is_scientific(token) else format_scientific
+            respelled[token] = spell(parse_float32(token))
+        tokens[idx] = respelled[token]
     return doc.with_number_tokens(tokens)
 
 
-def _read_whitespace(doc: RawAsciiDocument, spans) -> list[int]:
-    text = doc.text
-    return [1 if "\t" in text[b:e] else 0 for b, e in spans]
+def _read_whitespace(doc: RawAsciiDocument, spans) -> np.ndarray:
+    return doc.spans_holding(spans, "\t")
 
 
 def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
@@ -203,11 +200,11 @@ class Channel:
     ``text`` names the carrier kind: a RawAsciiDocument when true, an
     StlModel otherwise. ``slots(carrier)`` lists the positions that hold one
     bit each, in payload order: index arrays for the model channels,
-    (start, end) spans of the text for the text channels. ``read(carrier,
-    slots)`` decodes one bit per slot. ``write(carrier, slots, bits)``
-    returns a new carrier whose first len(bits) slots hold bits; it
-    receives every slot. ``scrub(carrier, rng)`` is the channel's own
-    scrubber.
+    (m, 2) arrays of (start, end) spans of the text for the text channels.
+    ``read(carrier, slots)`` decodes one bit per slot. ``write(carrier,
+    slots, bits)`` returns a new carrier whose first len(bits) slots hold
+    bits; it receives every slot. ``scrub(carrier, rng)`` is the channel's
+    own scrubber.
     """
 
     text: bool
@@ -220,7 +217,7 @@ class Channel:
 # The scrubbers are looked up when called, not bound here, so that a wrapper
 # installed on a sanitize function (a profiler, a test) sees these calls too.
 # A text channel's scrubber is uniform re-serialization: the document's model
-# in its canonical text, as _as_carrier makes it.
+# in its canonical text, which as_carrier makes.
 CHANNELS = {
     ChannelId.FACET: Channel(
         False, _order_runs(2), _read_order, _write_order,
@@ -236,11 +233,11 @@ CHANNELS = {
     ),
     ChannelId.NUMBER: Channel(
         True, lambda doc: doc.number_spans, _read_number, _write_number,
-        lambda doc, rng: _as_carrier(doc.model, ChannelId.NUMBER),
+        lambda doc, rng: as_carrier(doc.model, ChannelId.NUMBER),
     ),
     ChannelId.WHITESPACE: Channel(
         True, lambda doc: doc.indent_spans, _read_whitespace, _write_whitespace,
-        lambda doc, rng: _as_carrier(doc.model, ChannelId.WHITESPACE),
+        lambda doc, rng: as_carrier(doc.model, ChannelId.WHITESPACE),
     ),
     # exists to defeat a scrubber that only re-randomizes single consecutive
     # pairs, so its scrubber is the full geometric one
@@ -255,7 +252,7 @@ def _require_ascii(source: StlFormat, channel: ChannelId) -> None:
         raise ChannelUnavailableError(f"{channel.value} channel requires an ASCII source")
 
 
-def _as_carrier(carrier, channel: ChannelId):
+def as_carrier(carrier, channel: ChannelId):
     """The carrier kind the channel reads: a text channel turns an
     ASCII-sourced StlModel into its canonical text, a model channel reads a
     RawAsciiDocument's model."""
@@ -286,7 +283,7 @@ def _check_capacity(needed: int, available: int) -> None:
 
 def capacity(carrier, channel: ChannelId) -> int:
     """Number of payload bits the channel can hold in this carrier."""
-    return len(CHANNELS[channel].slots(_as_carrier(carrier, channel)))
+    return len(CHANNELS[channel].slots(as_carrier(carrier, channel)))
 
 
 def embed(carrier, channel: ChannelId, payload: BitSequence):
@@ -296,7 +293,7 @@ def embed(carrier, channel: ChannelId, payload: BitSequence):
     to a text channel is serialized canonically first.
     """
     spec = CHANNELS[channel]
-    carrier = _as_carrier(carrier, channel)
+    carrier = as_carrier(carrier, channel)
     slots = spec.slots(carrier)
     _check_capacity(len(payload), len(slots))
     return spec.write(carrier, slots, payload)
@@ -307,7 +304,7 @@ def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     if k < 0:
         raise ValueError(f"bit count must be >= 0, got {k}")
     spec = CHANNELS[channel]
-    carrier = _as_carrier(carrier, channel)
+    carrier = as_carrier(carrier, channel)
     slots = spec.slots(carrier)
     _check_capacity(k, len(slots))
     return BitSequence(spec.read(carrier, slots[:k]))

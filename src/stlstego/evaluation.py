@@ -17,13 +17,13 @@ import csv
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .bits import BitSequence
-from .channels import CHANNELS, ChannelId, capacity, embed, extract
+from .channels import CHANNELS, ChannelId, as_carrier, capacity, embed, extract
 from .model import StlModel
 from .sanitize import RandomSource
 
@@ -41,7 +41,7 @@ def derive_seed(*parts) -> int:
 @dataclass(frozen=True)
 class TrialConfig:
     channel: ChannelId
-    carrier: StlModel
+    carrier: StlModel  # or, for a text channel, a RawAsciiDocument
     payload_bits: int = 1024
     trials: int = 100
     seed: int | None = None
@@ -138,7 +138,13 @@ def run_trial(
 
 
 def run_experiment(cfg: TrialConfig) -> tuple[SurvivalMatrix, SurvivalStats]:
-    """Run all trials with the same payload and independent randomness."""
+    """Run all trials with the same payload and independent randomness.
+
+    A text channel's carrier is turned into its RawAsciiDocument once,
+    here, rather than by every trial's embed.
+    """
+    if CHANNELS[cfg.channel].text:
+        cfg = replace(cfg, carrier=as_carrier(cfg.carrier, cfg.channel))
     cfg.validate()
     payload = _experiment_payload(cfg)
     rows = np.zeros((cfg.trials, cfg.payload_bits), dtype=bool)

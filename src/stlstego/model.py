@@ -224,8 +224,11 @@ def degenerate(vertices: np.ndarray) -> np.ndarray:
 def rotate(vertices: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Cyclic rotation of each vertex list so that vertex start[i] leads:
     0 keeps (a, b, c), 1 gives (b, c, a), 2 gives (c, a, b)."""
-    order = (start[:, None] + np.arange(3)) % 3
-    return np.take_along_axis(vertices, order[:, :, None], axis=1)
+    out = vertices.copy()
+    for s in (1, 2):
+        turned = start == s
+        out[turned] = vertices[turned][:, [s, (s + 1) % 3, (s + 2) % 3]]
+    return out
 
 
 def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:

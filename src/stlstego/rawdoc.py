@@ -1,26 +1,166 @@
 """Byte-faithful view of a raw ASCII STL document.
 
-Keeps the text exactly as given and indexes, by (start, end) spans, the two
-places where an ASCII file can vary without changing its parsed value. The
-text is read by `parse_ascii`'s facet scanner, whose model the document
-keeps, so a text parse_ascii rejects raises the same StlParseError.
+Keeps the text exactly as given and indexes the two places where an ASCII
+file can vary without changing its parsed value, each as a read-only
+(m, 2) int64 array of (start, end) offsets into the text, in file order:
 
-- Number slots: the 12 numbers the scanner captures per facet, the three
-  after `facet normal` and after each `vertex`, in file order.
+- Number slots: the 12 numbers of each facet, the three after `facet
+  normal` and after each `vertex`.
 - Indent slots: the leading spaces and tabs of each indented non-blank line.
 
-Rewriting either kind of slot splices new strings into those spans and
-yields a new document, read again by the scanner.
+The text is read by `parse_ascii`'s facet scanner, whose model the document
+keeps, so a text parse_ascii rejects raises the same StlParseError. The
+spans are then read off the characters of the accepted text: between the
+`solid` line and the `endsolid` line it holds exactly 21 whitespace-
+separated tokens per facet, so the numbers are tokens 2-4, 8-10, 12-14 and
+16-18 of each facet, and each statement's first token ends its line's
+indent. The scan runs over chunks of whole facets. A character that is not
+ASCII, which only text given through the Python API holds, is read as an
+ASCII stand-in of its kind, so offsets count code points. A leading run
+that holds whitespace other than spaces and tabs is measured by a regex,
+line by line, as are the `solid` and `endsolid` lines.
+
+Rewriting slots splices only the changed strings into the text and shifts
+both span arrays by the running change in length; changed numbers also
+update the model, bit for bit as a re-read would, and a rewrite that
+changes nothing returns the document itself. A replacement that could
+change what the scanner reads falls back to reading the whole new text, so
+its error names the line: a number token parse_float32 rejects, or an
+indent that is not a non-empty run of spaces and tabs.
 """
 from __future__ import annotations
 
 import re
+from operator import ne
 
-from .model import StlModel
-from .stl_io import parse_ascii
+import numpy as np
+
+from .errors import StlParseError
+from .floatfmt import parse_float32
+from .model import StlModel, coords
+from .stl_io import _FACET_GRAMMAR, _HEAD, _NON_SPACE, parse_ascii
 
 # Where the indent slots are. It accepts nothing; parse_ascii does that.
 _INDENT = re.compile(r"^(?=[^\S\n]*\S)[ \t]+", re.M)
+
+
+def _facet_columns():
+    """Token count of a facet, the columns of its number tokens and those of
+    the tokens that open a statement, read off _FACET_GRAMMAR."""
+    numbers, statements, width = [], [], 0
+    for keywords, count, _ in _FACET_GRAMMAR:
+        statements.append(width)
+        width += len(keywords.split())
+        numbers += range(width, width + count)
+        width += count
+    return width, numbers, statements
+
+
+_COLUMNS, _NUMBER_COLUMNS, _STATEMENT_COLUMNS = _facet_columns()
+_CHUNK = 1 << 18  # characters scanned at once, extended to the next facet end
+
+
+class _AsciiStandIns(dict):
+    """str.translate table: an ASCII character to itself, any other to
+    \\x0b if it is whitespace and to x otherwise."""
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        self[code] = stand_in = char if code < 128 else "\x0b" if char.isspace() else "x"
+        return stand_in
+
+
+def _units(text: str, lo: int, hi: int) -> np.ndarray:
+    """text[lo:hi] as one uint8 per character (see _AsciiStandIns)."""
+    chunk = text[lo:hi]
+    if not chunk.isascii():
+        chunk = chunk.translate(_AsciiStandIns())
+    return np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+
+
+def _regex_indents(text: str, lo: int, hi: int) -> np.ndarray:
+    spans = [m.span() for m in _INDENT.finditer(text, lo, hi)]
+    return np.array(spans, dtype=np.int64).reshape(-1, 2)
+
+
+def _last_line_start(text: str) -> int:
+    """Offset of the last line that holds a non-whitespace character."""
+    end = len(text)
+    while True:
+        start = text.rfind("\n", 0, end) + 1
+        if _NON_SPACE.search(text, start, end):
+            return start
+        end = start - 1
+
+
+def _scan_slots(text: str, facets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number and indent spans of a text the facet scanner accepts, which
+    holds `facets` facets."""
+    lo = _HEAD.match(text).end()  # the LF that ends the `solid` line
+    hi = _last_line_start(text) - 1  # the LF before the `endsolid` line
+    numbers = np.empty((12 * facets, 2), dtype=np.int64)
+    indents = [_regex_indents(text, 0, lo)]
+    filled = 0
+    while lo < hi:
+        # chunks end at the LF after an `endfacet`, so they hold whole facets
+        end = text.find("endfacet", lo + _CHUNK, hi)
+        end = hi if end < 0 else text.find("\n", end)
+        units = _units(text, lo, end + 1)
+        # the facets hold nothing at or below 32 but whitespace, and
+        # text[lo] and text[end] are LFs, so the edges pair up
+        space = units <= 32
+        bounds = np.flatnonzero(space[1:] != space[:-1]) + (lo + 1)
+        bounds = bounds.reshape(-1, _COLUMNS, 2)
+        picked = bounds[:, _NUMBER_COLUMNS].reshape(-1, 2)
+        numbers[filled : filled + len(picked)] = picked
+        filled += len(picked)
+
+        first = bounds[:, _STATEMENT_COLUMNS, 0].ravel()
+        newlines = np.flatnonzero(units == 10) + lo
+        line = newlines[np.searchsorted(newlines, first) - 1] + 1
+        # codes 11-31, which in the facets are whitespace other than tab and LF
+        odd = np.flatnonzero(units - np.uint8(11) < 21) + lo
+        for i in np.flatnonzero(np.searchsorted(odd, line) != np.searchsorted(odd, first)):
+            match = _INDENT.match(text, int(line[i]))
+            first[i] = match.end() if match else line[i]
+        indented = first > line
+        indents.append(np.stack([line[indented], first[indented]], axis=1))
+        lo = end
+    indents.append(_regex_indents(text, hi + 1, len(text)))
+    indents = np.concatenate(indents)
+    for spans in (numbers, indents):
+        spans.flags.writeable = False
+    return numbers, indents
+
+
+def _slices(text: str, spans: np.ndarray) -> list[str]:
+    starts, ends = spans.T.tolist()
+    return [text[b:e] for b, e in zip(starts, ends)]
+
+
+def _shifted(spans: np.ndarray, ends: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """spans with each offset moved by shift[k], where k counts the changed
+    slots that end at or before it."""
+    out = shift[np.searchsorted(ends, spans, side="right")]
+    out += spans
+    out.flags.writeable = False
+    return out
+
+
+def _number_values(tokens) -> list[float] | None:
+    """parse_float32 of each token, or None if it rejects one."""
+    values = {}
+    for token in tokens:
+        if token not in values:
+            try:
+                values[token] = parse_float32(token)
+            except StlParseError:
+                return None
+    return [values[token] for token in tokens]
+
+
+def _is_indent(run: str) -> bool:
+    return run != "" and not run.strip(" \t")
 
 
 class RawAsciiDocument:
@@ -29,11 +169,9 @@ class RawAsciiDocument:
     __slots__ = ("_text", "_model", "_number_spans", "_indent_spans")
 
     def __init__(self, text: str):
-        numbers: list[tuple[int, int]] = []
-        self._model = parse_ascii(text, numbers)
+        self._model = parse_ascii(text)
         self._text = text
-        self._number_spans = tuple(numbers)
-        self._indent_spans = tuple(m.span() for m in _INDENT.finditer(text))
+        self._number_spans, self._indent_spans = _scan_slots(text, len(self._model))
 
     @property
     def text(self) -> str:
@@ -45,43 +183,84 @@ class RawAsciiDocument:
         return self._model
 
     @property
-    def number_spans(self) -> tuple[tuple[int, int], ...]:
-        """(start, end) of each number slot in text, in file order."""
+    def number_spans(self) -> np.ndarray:
+        """(m, 2) array: start and end of each number slot in text."""
         return self._number_spans
 
     @property
-    def indent_spans(self) -> tuple[tuple[int, int], ...]:
-        """(start, end) of each indent slot in text, in file order."""
+    def indent_spans(self) -> np.ndarray:
+        """(m, 2) array: start and end of each indent slot in text."""
         return self._indent_spans
 
     @property
     def number_tokens(self) -> list[str]:
         """Numeric tokens of `facet normal` and `vertex` statements, in file order."""
-        return [self._text[b:e] for b, e in self._number_spans]
+        return _slices(self._text, self._number_spans)
 
     @property
     def indent_runs(self) -> list[str]:
         """Leading whitespace of each indented line, in file order."""
-        return [self._text[b:e] for b, e in self._indent_spans]
+        return _slices(self._text, self._indent_spans)
+
+    def spans_holding(self, spans: np.ndarray, chars: str) -> np.ndarray:
+        """1 for each span of an (m, 2) array in file order whose text holds
+        any of the ASCII characters chars, 0 for the others."""
+        if not len(spans):
+            return np.zeros(0, dtype=np.uint8)
+        lo, hi = int(spans[0, 0]), int(spans[-1, 1])
+        wanted = np.zeros(256, dtype=bool)
+        wanted[list(chars.encode("ascii"))] = True
+        at = np.append(np.flatnonzero(wanted[_units(self._text, lo, hi)]) + lo, hi)
+        return (at[np.searchsorted(at, spans[:, 0])] < spans[:, 1]).astype(np.uint8)
 
     def with_number_tokens(self, tokens) -> "RawAsciiDocument":
-        return self._rewrite(self._number_spans, tokens)
+        return self._splice(self._number_spans, tokens, numbers=True)
 
     def with_indent_runs(self, runs) -> "RawAsciiDocument":
-        return self._rewrite(self._indent_spans, runs)
+        return self._splice(self._indent_spans, runs, numbers=False)
 
-    def _rewrite(self, spans, replacements) -> "RawAsciiDocument":
+    def _splice(self, spans, replacements, numbers: bool) -> "RawAsciiDocument":
         replacements = list(replacements)
         if len(replacements) != len(spans):
             raise ValueError(
                 f"expected {len(spans)} replacement pieces, got {len(replacements)}"
             )
-        parts = []
-        last = 0
-        for (begin, end), new in zip(spans, replacements):
-            parts += (self._text[last:begin], new)
+        text = self._text
+        differs = map(ne, _slices(text, spans), replacements)
+        changed = np.flatnonzero(np.fromiter(differs, dtype=bool, count=len(spans)))
+        if not len(changed):
+            return self
+        new = [replacements[i] for i in changed.tolist()]
+        where = spans[changed]
+        parts, last = [], 0
+        for (begin, end), piece in zip(where.tolist(), new):
+            parts += (text[last:begin], piece)
             last = end
-        parts.append(self._text[last:])
+        parts.append(text[last:])
         text = "".join(parts)
-        del parts  # free the pieces before the new text is read
-        return RawAsciiDocument(text)
+        del parts  # free the pieces before a new text is read
+        if numbers:
+            values = _number_values(new)
+            valid = values is not None
+        else:
+            valid = all(map(_is_indent, new))
+        if not valid:
+            return RawAsciiDocument(text)
+
+        model = self._model
+        if numbers:
+            records = model.records.copy()
+            facet, slot = np.divmod(changed, 12)
+            coords(records)[facet, slot // 3, slot % 3] = np.array(values, dtype=np.float32)
+            model = model.with_records(records)
+        number_spans, indent_spans = self._number_spans, self._indent_spans
+        delta = np.fromiter(map(len, new), dtype=np.int64, count=len(new))
+        delta -= where[:, 1] - where[:, 0]
+        if delta.any():
+            shift = np.concatenate(([0], np.cumsum(delta)))
+            number_spans = _shifted(number_spans, where[:, 1], shift)
+            indent_spans = _shifted(indent_spans, where[:, 1], shift)
+        doc = RawAsciiDocument.__new__(RawAsciiDocument)  # the text is not read again
+        doc._text, doc._model = text, model
+        doc._number_spans, doc._indent_spans = number_spans, indent_spans
+        return doc

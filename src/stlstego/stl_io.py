@@ -137,7 +137,7 @@ _TAIL = re.compile(_NEXT + r"endsolid(?!\S)[^\n]*")
 _NON_SPACE = re.compile(r"\S")
 
 
-def parse_ascii(text: str, number_spans: list | None = None) -> StlModel:
+def parse_ascii(text: str) -> StlModel:
     """Parse a single-solid ASCII STL document.
 
     Statements are line-oriented with arbitrary intra-line whitespace.
@@ -146,22 +146,22 @@ def parse_ascii(text: str, number_spans: list | None = None) -> StlModel:
 
     One compiled pattern matches a whole facet, from `facet normal` to
     `endfacet`, and captures its 12 number tokens; each distinct token is
-    parsed once. Given a list as number_spans, the scanner also appends
-    the (start, end) of each number token to it, in file order. A text the
-    scanner rejects is walked statement by statement (`ascii_statements`)
-    only to raise the StlParseError that names the offending line. Scanner
-    and walker read their facet statements from one table, _FACET_GRAMMAR,
-    and accept the same language, which a differential fuzz in
-    tests/test_stl_io.py pins.
+    parsed once. A text the scanner rejects is walked statement by
+    statement (`ascii_statements`) only to raise the StlParseError that
+    names the offending line. Scanner and walker read their facet
+    statements from one table, _FACET_GRAMMAR, and accept the same
+    language, which a differential fuzz in tests/test_stl_io.py pins.
+    `RawAsciiDocument` reads the positions of the tokens off the text the
+    scanner accepts.
     """
-    model = _scan_facets(text, number_spans)
+    model = _scan_facets(text)
     if model is None:
         _explain_rejection(text)
         raise AssertionError("the facet scanner rejected a text the statement walker accepts")
     return model
 
 
-def _scan_facets(text: str, spans: list | None = None) -> StlModel | None:
+def _scan_facets(text: str) -> StlModel | None:
     """The model of a text the facet scanner accepts, or None."""
     head = _HEAD.match(text)
     if head is None:
@@ -170,15 +170,9 @@ def _scan_facets(text: str, spans: list | None = None) -> StlModel | None:
     token_id = ids.__getitem__
     numbers = array("I")
     pos, match = head.end(), _FACET.match
-    if spans is None:
-        while (facet := match(text, pos)) is not None:
-            numbers.extend(map(token_id, facet.groups()))
-            pos = facet.end()
-    else:  # the same loop, also noting where each number is
-        while (facet := match(text, pos)) is not None:
-            numbers.extend(map(token_id, facet.groups()))
-            spans.extend(map(facet.span, range(1, 13)))
-            pos = facet.end()
+    while (facet := match(text, pos)) is not None:
+        numbers.extend(map(token_id, facet.groups()))
+        pos = facet.end()
     tail = _TAIL.match(text, pos)
     if tail is None or _NON_SPACE.search(text, tail.end()) is not None:
         return None

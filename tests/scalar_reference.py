@@ -1,9 +1,10 @@
-"""Per-facet definitions that only the tests use.
+"""Scalar definitions that only the tests use.
 
 Facet comparison and canonical rotation spelled out on `Facet` values and
 Python tuple comparison, plus the two copy-with-changes helpers the tests
-build models with. The package works on whole columns instead
-(`stlstego.model`); these are the scalar statements it is checked against.
+build models with, and MSB-first bit packing byte by byte. The package
+works on whole columns instead (`stlstego.model`, `stlstego.bits`); these
+are the scalar statements it is checked against.
 """
 import enum
 from dataclasses import replace
@@ -60,3 +61,27 @@ def compare_facets(f: Facet, g: Facet) -> Ordering:
     if cf > cg:
         return Ordering.GREATER
     return Ordering.EQUAL
+
+
+def unpack_bits(data: bytes, length: int | None = None) -> list[int]:
+    """Bytes to bits MSB-first, truncated or zero-padded to length."""
+    bits = []
+    for byte in data:
+        for shift in range(7, -1, -1):
+            bits.append((byte >> shift) & 1)
+    if length is not None:
+        bits = bits[:length] + [0] * (length - len(bits))
+    return bits
+
+
+def pack_bits(bits) -> bytes:
+    """Bits to bytes MSB-first, zero-padding the final partial byte."""
+    bits = list(bits)
+    out = bytearray()
+    for i in range(0, len(bits), 8):
+        chunk = bits[i : i + 8]
+        byte = 0
+        for b in chunk:
+            byte = (byte << 1) | b
+        out.append(byte << (8 - len(chunk)))
+    return bytes(out)

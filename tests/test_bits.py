@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scalar_reference import pack_bits, unpack_bits
 from stlstego import BitSequence, RandomSource
 
 
@@ -50,3 +52,24 @@ def test_byte_round_trip(data):
 def test_bit_round_trip_through_bytes(bits):
     seq = BitSequence(bits)
     assert BitSequence.from_bytes(seq.to_bytes(), length=len(seq)) == seq
+
+
+@given(st.binary(max_size=40), st.one_of(st.none(), st.integers(min_value=0, max_value=400)))
+def test_unpacking_matches_the_byte_loop(data, length):
+    # lengths below, at and past 8 * len(data): truncation and zero padding
+    assert BitSequence.from_bytes(data, length).bits == tuple(unpack_bits(data, length))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=1), max_size=90))
+def test_packing_matches_the_byte_loop(bits):
+    # any length, so the last byte is often partial
+    assert BitSequence(bits).to_bytes() == pack_bits(bits)
+
+
+def test_uint8_arrays_hold_plain_ints_and_are_checked():
+    seq = BitSequence(np.array([1, 0, 1], dtype=np.uint8))
+    assert seq.bits == (1, 0, 1) and all(type(b) is int for b in seq.bits)
+    assert seq == BitSequence([1, 0, 1])
+    assert BitSequence(np.zeros(0, dtype=np.uint8)).bits == ()
+    with pytest.raises(ValueError):
+        BitSequence(np.array([0, 2], dtype=np.uint8))

@@ -31,6 +31,7 @@ from stlstego import (
     write_binary,
 )
 from stlstego.channels import CHANNELS
+from stlstego.model import coords, rotate
 
 # --- scalar reference --------------------------------------------------------
 
@@ -200,6 +201,18 @@ def test_normal_pass_matches_scalar_on_ties(model):
     expected = [unit_rhr_normal(*f.vertices) or (0.0, 0.0, 0.0) for f in model.facets]
     got = sanitize_normal_channel(model).normals
     assert got.tobytes() == np.array(expected, dtype="<f4").reshape(-1, 3).tobytes()
+
+
+def test_rotate_matches_the_take_along_axis_gather():
+    records = random_model(60, seed=11).records.copy()
+    coords(records)[::4, 1, 0] = -0.0  # the sign of zero is copied too
+    coords(records)[1::4, 3] = -0.0
+    vertices = StlModel(records=records).vertices  # a strided view, as sanitize passes it
+    start = np.arange(60) % 3  # all three starts
+    np.random.default_rng(12).shuffle(start)
+    order = (start[:, None] + np.arange(3)) % 3
+    expected = np.take_along_axis(vertices, order[:, :, None], axis=1)
+    assert rotate(vertices, start).tobytes() == expected.tobytes()
 
 
 class TestModelValue:

@@ -1,3 +1,7 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +14,11 @@ from stlstego import (
     capacity,
     embed,
     extract,
+    generate_test_mesh,
     parse_ascii,
     write_canonical_ascii,
 )
+from stlstego import rawdoc
 from stlstego.errors import StlParseError
 from stlstego.floatfmt import parse_float32
 
@@ -161,3 +167,83 @@ def test_slots_agree_with_the_parser(n, seed, data):
     assert [parse_float32(t) for t in doc.number_tokens] == components
     assert len(doc.number_tokens) == 12 * n
     assert len(doc.indent_runs) == 7 * n
+
+
+def _assert_same_as_a_fresh_read(doc):
+    fresh = RawAsciiDocument(doc.text)
+    assert doc.number_spans.tolist() == fresh.number_spans.tolist()
+    assert doc.indent_spans.tolist() == fresh.indent_spans.tolist()
+    assert doc.model.solid_name == fresh.model.solid_name
+    assert doc.model.records.tobytes() == fresh.model.records.tobytes()
+
+
+def _carrier_text(subdivisions: int, style: str) -> str:
+    text = write_canonical_ascii(generate_test_mesh(subdivisions))
+    if style == "crlf":
+        return text.replace("\n", "\r\n")
+    if style == "tabs":
+        return text.replace("  ", "\t")
+    if style == "mixed":  # -0, scientific tokens, other whitespace in indents
+        text = text.replace(" 0\n", " -0\n").replace(" 0 ", " 0e0 ").replace("vertex ", "vertex \t")
+        return text.replace("    endloop", "  \x0c endloop").replace("endsolid", "endsolid  x")
+    # a non-ASCII name, and a few indents that hold non-ASCII whitespace
+    text = text.replace("solid", "solid caf\u00e9 \u2028", 1)
+    text = text.replace("endsolid", "endsolid caf\u00e9")
+    return text.replace("    outer", "  \u3000 outer", 3)
+
+
+@pytest.mark.parametrize("subdivisions", [2, 4])
+@pytest.mark.parametrize("style", ["crlf", "tabs", "mixed", "non-ascii-name"])
+def test_splices_equal_a_fresh_read(subdivisions, style):
+    doc = RawAsciiDocument(_carrier_text(subdivisions, style))
+    rng = random.Random(f"{style}/{subdivisions}")
+    for channel in (ChannelId.NUMBER, ChannelId.WHITESPACE, ChannelId.NUMBER):
+        cap = capacity(doc, channel)
+        payload = BitSequence(rng.randrange(2) for _ in range(rng.randrange(cap // 2, cap + 1)))
+        doc = embed(doc, channel, payload)
+        _assert_same_as_a_fresh_read(doc)
+        assert extract(doc, channel, len(payload)) == payload
+
+
+def test_respelling_negative_zero_flips_its_sign_bit():
+    doc = RawAsciiDocument(LUCY_TEXT.replace("-0.1128", "-0"))
+    assert np.signbit(doc.model.normals[0, 0])
+    out = embed(doc, ChannelId.NUMBER, BitSequence([1]))
+    assert out.number_tokens[0] == "0e0"
+    assert not np.signbit(out.model.normals[0, 0])
+    _assert_same_as_a_fresh_read(out)
+
+
+def test_replacements_outside_the_fast_splice_read_the_text_again():
+    doc = RawAsciiDocument(LUCY_TEXT)
+    tokens = doc.number_tokens
+    tokens[5] = "1e99"
+    with pytest.raises(StlParseError, match=r"line 4: out of single-precision range: '1e99'"):
+        doc.with_number_tokens(tokens)
+    runs = doc.indent_runs
+    runs[2] = ""  # the line loses its indent slot
+    out = doc.with_indent_runs(runs)
+    assert len(out.indent_runs) == len(runs) - 1
+    _assert_same_as_a_fresh_read(out)
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 4096])
+def test_spans_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
+    texts = [_carrier_text(2, style) for style in ("crlf", "tabs", "mixed", "non-ascii-name")]
+    expected = [RawAsciiDocument(text) for text in texts]
+    monkeypatch.setattr(rawdoc, "_CHUNK", chunk)
+    for text, want in zip(texts, expected):
+        got = RawAsciiDocument(text)
+        assert got.number_spans.tolist() == want.number_spans.tolist()
+        assert got.indent_spans.tolist() == want.indent_spans.tolist()
+
+
+def test_a_document_holds_a_small_multiple_of_its_text():
+    text = write_canonical_ascii(generate_test_mesh(5))
+    tracemalloc.start()
+    try:
+        RawAsciiDocument(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)

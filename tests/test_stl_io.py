@@ -593,7 +593,10 @@ def _check_scanner_against_walker(text: str) -> bool:
         assert coords(model.records).tobytes() == values, text
         assert not model.records["attr"].any()
         doc = RawAsciiDocument(text)
-        assert (doc.number_spans, doc.indent_spans) == _reference_slots(text), text
+        numbers, indents = _reference_slots(text)
+        for spans, expected in ((doc.number_spans, numbers), (doc.indent_spans, indents)):
+            assert spans.shape == (len(expected), 2), text
+            assert list(map(tuple, spans.tolist())) == list(expected), text
         assert doc.model == model
         if text.isascii():
             assert detect_format(text.encode("ascii")) is StlFormat.ASCII, text
