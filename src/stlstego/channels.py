@@ -110,7 +110,6 @@ def _read_order(model: StlModel, runs) -> np.ndarray:
 def _write_order(model: StlModel, runs, bits) -> StlModel:
     """Swap the two halves of each run whose bit differs; nothing crosses run
     boundaries, so the other runs read as before."""
-    runs = runs[: len(bits)]
     runs = runs[_read_order(model, runs) != _bits(bits)]
     half = runs.shape[1] // 2
     order = np.arange(len(model))
@@ -128,7 +127,6 @@ def _read_vertex(model: StlModel, indices) -> np.ndarray:
 def _write_vertex(model: StlModel, indices, bits) -> StlModel:
     """Bit 1 lists the largest vertex first, bit 0 the smallest: the
     rotation that Python's max or min picks among the three."""
-    indices = indices[: len(bits)]
     v = model.vertices[indices]
     chosen = np.where(_bits(bits)[:, None], extreme_rotation(v, 1), extreme_rotation(v, -1))
     records = model.records.copy()
@@ -147,7 +145,6 @@ def _read_normal(model: StlModel, indices) -> np.ndarray:
 
 def _write_normal(model: StlModel, indices, bits) -> StlModel:
     """Store the exact RHR normal for bit 0 and its negation for bit 1."""
-    indices = indices[: len(bits)]
     n = rhr_normals(model.vertices[indices])[0]
     records = model.records.copy()
     # 0 - n, not -n: a zero component stays +0.0
@@ -170,15 +167,16 @@ def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     tokens keep their single-precision value exactly. Each distinct token
     is re-spelled once.
     """
-    tokens = doc.number_tokens
+    changed = np.flatnonzero(_read_number(doc, spans) != _bits(bits))
+    text, tokens = doc.text, []
     respelled = {}  # a token only ever turns into the other notation
-    for idx in np.flatnonzero(_read_number(doc, spans[: len(bits)]) != _bits(bits)).tolist():
-        token = tokens[idx]
+    for begin, end in spans[changed].tolist():
+        token = text[begin:end]
         if token not in respelled:
             spell = format_standard if _is_scientific(token) else format_scientific
             respelled[token] = spell(parse_float32(token))
-        tokens[idx] = respelled[token]
-    return doc.with_number_tokens(tokens)
+        tokens.append(respelled[token])
+    return doc.with_number_tokens(changed, tokens)
 
 
 def _read_whitespace(doc: RawAsciiDocument, spans) -> np.ndarray:
@@ -186,11 +184,18 @@ def _read_whitespace(doc: RawAsciiDocument, spans) -> np.ndarray:
 
 
 def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
-    """Re-indent lines: bit 0 uses spaces, bit 1 tabs, preserving width."""
-    runs = doc.indent_runs
-    for idx, bit in enumerate(bits):
-        runs[idx] = ("\t" if bit else " ") * len(runs[idx])
-    return doc.with_indent_runs(runs)
+    """Re-indent lines: bit 0 uses spaces, bit 1 tabs, preserving width.
+
+    An indent holds only spaces and tabs, so it differs from its target
+    exactly when it holds the other character.
+    """
+    bits = _bits(bits)
+    changed = np.flatnonzero(
+        np.where(bits, doc.spans_holding(spans, " "), doc.spans_holding(spans, "\t"))
+    )
+    widths = (spans[changed, 1] - spans[changed, 0]).tolist()
+    runs = [" \t"[bit] * width for bit, width in zip(bits[changed].tolist(), widths)]
+    return doc.with_indent_runs(changed, runs)
 
 
 @dataclass(frozen=True)
@@ -202,9 +207,8 @@ class Channel:
     bit each, in payload order: index arrays for the model channels,
     (m, 2) arrays of (start, end) spans of the text for the text channels.
     ``read(carrier, slots)`` decodes one bit per slot. ``write(carrier,
-    slots, bits)`` returns a new carrier whose first len(bits) slots hold
-    bits; it receives every slot. ``scrub(carrier, rng)`` is the channel's
-    own scrubber.
+    slots, bits)`` returns a new carrier whose slots hold bits, one each.
+    ``scrub(carrier, rng)`` is the channel's own scrubber.
     """
 
     text: bool
@@ -296,7 +300,7 @@ def embed(carrier, channel: ChannelId, payload: BitSequence):
     carrier = as_carrier(carrier, channel)
     slots = spec.slots(carrier)
     _check_capacity(len(payload), len(slots))
-    return spec.write(carrier, slots, payload)
+    return spec.write(carrier, slots[: len(payload)], payload)
 
 
 def extract(carrier, channel: ChannelId, k: int) -> BitSequence:

@@ -14,31 +14,31 @@ spans are then read off the characters of the accepted text: between the
 `solid` line and the `endsolid` line it holds exactly 21 whitespace-
 separated tokens per facet, so the numbers are tokens 2-4, 8-10, 12-14 and
 16-18 of each facet, and each statement's first token ends its line's
-indent. The scan runs over chunks of whole facets. A character that is not
-ASCII, which only text given through the Python API holds, is read as an
-ASCII stand-in of its kind, so offsets count code points. A leading run
-that holds whitespace other than spaces and tabs is measured by a regex,
-line by line, as are the `solid` and `endsolid` lines.
+indent, or the first whitespace in it other than a space or tab does. The
+scan runs over chunks of whole facets. A character that is not ASCII,
+which only text given through the Python API holds, is read as an ASCII
+stand-in of its kind, so offsets count code points. The `solid` and
+`endsolid` lines' indents are matched by a regex.
 
-Rewriting slots splices only the changed strings into the text and shifts
-both span arrays by the running change in length; changed numbers also
-update the model, bit for bit as a re-read would, and a rewrite that
-changes nothing returns the document itself. A replacement that could
-change what the scanner reads falls back to reading the whole new text, so
-its error names the line: a number token parse_float32 rejects, or an
-indent that is not a non-empty run of spaces and tabs.
+A rewrite names the slots it changes, in ascending order, and the new
+string of each; a rewrite of no slots returns the document itself. The
+strings are spliced into the text and both span arrays shift by the
+running change in length; changed numbers also update the model, bit for
+bit as a re-read would. A replacement that could change what the scanner
+reads falls back to reading the whole new text, so its error names the
+line: a number token parse_float32 rejects, or an indent that is not a
+non-empty run of spaces and tabs.
 """
 from __future__ import annotations
 
 import re
-from operator import ne
 
 import numpy as np
 
 from .errors import StlParseError
 from .floatfmt import parse_float32
 from .model import StlModel, coords
-from .stl_io import _FACET_GRAMMAR, _HEAD, _NON_SPACE, parse_ascii
+from .stl_io import _FACET_GRAMMAR, _HEAD, _last_line_start, parse_ascii
 
 # Where the indent slots are. It accepts nothing; parse_ascii does that.
 _INDENT = re.compile(r"^(?=[^\S\n]*\S)[ \t]+", re.M)
@@ -83,16 +83,6 @@ def _regex_indents(text: str, lo: int, hi: int) -> np.ndarray:
     return np.array(spans, dtype=np.int64).reshape(-1, 2)
 
 
-def _last_line_start(text: str) -> int:
-    """Offset of the last line that holds a non-whitespace character."""
-    end = len(text)
-    while True:
-        start = text.rfind("\n", 0, end) + 1
-        if _NON_SPACE.search(text, start, end):
-            return start
-        end = start - 1
-
-
 def _scan_slots(text: str, facets: int) -> tuple[np.ndarray, np.ndarray]:
     """Number and indent spans of a text the facet scanner accepts, which
     holds `facets` facets."""
@@ -118,11 +108,10 @@ def _scan_slots(text: str, facets: int) -> tuple[np.ndarray, np.ndarray]:
         first = bounds[:, _STATEMENT_COLUMNS, 0].ravel()
         newlines = np.flatnonzero(units == 10) + lo
         line = newlines[np.searchsorted(newlines, first) - 1] + 1
-        # codes 11-31, which in the facets are whitespace other than tab and LF
-        odd = np.flatnonzero(units - np.uint8(11) < 21) + lo
-        for i in np.flatnonzero(np.searchsorted(odd, line) != np.searchsorted(odd, first)):
-            match = _INDENT.match(text, int(line[i]))
-            first[i] = match.end() if match else line[i]
+        # an indent also ends at codes 11-31, which in the facets are
+        # whitespace other than tab and LF; the sentinel lies past every token
+        odd = np.append(np.flatnonzero(units - np.uint8(11) < 21) + lo, hi + 1)
+        first = np.minimum(first, odd[np.searchsorted(odd, line)])
         indented = first > line
         indents.append(np.stack([line[indented], first[indented]], axis=1))
         lo = end
@@ -131,11 +120,6 @@ def _scan_slots(text: str, facets: int) -> tuple[np.ndarray, np.ndarray]:
     for spans in (numbers, indents):
         spans.flags.writeable = False
     return numbers, indents
-
-
-def _slices(text: str, spans: np.ndarray) -> list[str]:
-    starts, ends = spans.T.tolist()
-    return [text[b:e] for b, e in zip(starts, ends)]
 
 
 def _shifted(spans: np.ndarray, ends: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -192,16 +176,6 @@ class RawAsciiDocument:
         """(m, 2) array: start and end of each indent slot in text."""
         return self._indent_spans
 
-    @property
-    def number_tokens(self) -> list[str]:
-        """Numeric tokens of `facet normal` and `vertex` statements, in file order."""
-        return _slices(self._text, self._number_spans)
-
-    @property
-    def indent_runs(self) -> list[str]:
-        """Leading whitespace of each indented line, in file order."""
-        return _slices(self._text, self._indent_spans)
-
     def spans_holding(self, spans: np.ndarray, chars: str) -> np.ndarray:
         """1 for each span of an (m, 2) array in file order whose text holds
         any of the ASCII characters chars, 0 for the others."""
@@ -213,25 +187,26 @@ class RawAsciiDocument:
         at = np.append(np.flatnonzero(wanted[_units(self._text, lo, hi)]) + lo, hi)
         return (at[np.searchsorted(at, spans[:, 0])] < spans[:, 1]).astype(np.uint8)
 
-    def with_number_tokens(self, tokens) -> "RawAsciiDocument":
-        return self._splice(self._number_spans, tokens, numbers=True)
+    def with_number_tokens(self, slots, tokens) -> "RawAsciiDocument":
+        """The document with number slot slots[i] spelled tokens[i]; slots
+        ascend."""
+        return self._splice(self._number_spans, slots, tokens, numbers=True)
 
-    def with_indent_runs(self, runs) -> "RawAsciiDocument":
-        return self._splice(self._indent_spans, runs, numbers=False)
+    def with_indent_runs(self, slots, runs) -> "RawAsciiDocument":
+        """The document with indent slot slots[i] holding runs[i]; slots
+        ascend."""
+        return self._splice(self._indent_spans, slots, runs, numbers=False)
 
-    def _splice(self, spans, replacements, numbers: bool) -> "RawAsciiDocument":
-        replacements = list(replacements)
-        if len(replacements) != len(spans):
-            raise ValueError(
-                f"expected {len(spans)} replacement pieces, got {len(replacements)}"
-            )
-        text = self._text
-        differs = map(ne, _slices(text, spans), replacements)
-        changed = np.flatnonzero(np.fromiter(differs, dtype=bool, count=len(spans)))
-        if not len(changed):
+    def _splice(self, spans, slots, new, numbers: bool) -> "RawAsciiDocument":
+        slots, new = np.asarray(slots, dtype=np.int64), list(new)
+        if len(slots) != len(new):
+            raise ValueError(f"got {len(slots)} slots and {len(new)} replacements")
+        if not len(new):
             return self
-        new = [replacements[i] for i in changed.tolist()]
-        where = spans[changed]
+        if slots[0] < 0 or slots[-1] >= len(spans) or (slots[1:] <= slots[:-1]).any():
+            raise ValueError(f"slots must ascend, without repeats, below {len(spans)}")
+        text = self._text
+        where = spans[slots]
         parts, last = [], 0
         for (begin, end), piece in zip(where.tolist(), new):
             parts += (text[last:begin], piece)
@@ -250,7 +225,7 @@ class RawAsciiDocument:
         model = self._model
         if numbers:
             records = model.records.copy()
-            facet, slot = np.divmod(changed, 12)
+            facet, slot = np.divmod(slots, 12)
             coords(records)[facet, slot // 3, slot % 3] = np.array(values, dtype=np.float32)
             model = model.with_records(records)
         number_spans, indent_spans = self._number_spans, self._indent_spans

@@ -25,6 +25,11 @@ endsolid StanfordLucy
 """
 
 
+def slot_texts(doc, spans) -> list[str]:
+    """The strings of a document's slots, one per row of an (m, 2) span array."""
+    return [doc.text[begin:end] for begin, end in spans.tolist()]
+
+
 def unit_facet(attribute: int = 0) -> Facet:
     v1, v2, v3 = vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0)
     return Facet(v1=v1, v2=v2, v3=v3, normal=unit_rhr_normal(v1, v2, v3), attribute=attribute)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import LUCY_TEXT, random_facet, random_model, unit_facet
+from conftest import LUCY_TEXT, random_facet, random_model, slot_texts, unit_facet
 from scalar_reference import (
     DegenerateFacetError,
     Ordering,
@@ -344,14 +344,15 @@ class TestNumberCodec:
         assert extract(doc, ChannelId.NUMBER, 5)[4] == 0  # "0.527998" is standard notation
         payload = BitSequence([0, 0, 0, 0, 1])
         out = embed(doc, ChannelId.NUMBER, payload)
-        assert out.number_tokens[4] == "5.27998e-1"
+        assert slot_texts(out, out.number_spans)[4] == "5.27998e-1"
         assert "vertex -13.101 5.27998e-1 52.206" in out.text
 
     def test_all_zero_payload_standardizes_all_tokens(self):
         text = LUCY_TEXT.replace("52.206", "5.2206e1").replace("-0.818", "-8.18e-1")
         doc = RawAsciiDocument(text)
         out = embed(doc, ChannelId.NUMBER, BitSequence([0] * 24))
-        assert all("e" not in t and "E" not in t for t in out.number_tokens)
+        tokens = slot_texts(out, out.number_spans)
+        assert all("e" not in t and "E" not in t for t in tokens)
         assert extract(out, ChannelId.NUMBER, 24) == BitSequence([0] * 24)
 
     def test_round_trip_and_value_preservation(self):
@@ -371,7 +372,7 @@ class TestNumberCodec:
         from stlstego import channels
 
         doc = RawAsciiDocument(write_canonical_ascii(generate_test_mesh(2)))
-        tokens = doc.number_tokens
+        tokens = slot_texts(doc, doc.number_spans)
         seen = []
         original = channels.parse_float32
 
@@ -382,31 +383,31 @@ class TestNumberCodec:
         monkeypatch.setattr(channels, "parse_float32", counted)
         ones = embed(doc, ChannelId.NUMBER, BitSequence([1] * len(tokens)))
         assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
-        assert ones.number_tokens == [format_scientific(original(t)) for t in tokens]
+        respelled = slot_texts(ones, ones.number_spans)
+        assert respelled == [format_scientific(original(t)) for t in tokens]
         seen.clear()
         zeros = embed(ones, ChannelId.NUMBER, BitSequence([0] * len(tokens)))
-        assert sorted(seen) == sorted(set(ones.number_tokens))
+        assert sorted(seen) == sorted(set(respelled))
         assert zeros.text == doc.text
 
 
 class TestWhitespaceCodec:
     def test_space_indented_fixture_reads_zero(self):
         doc = RawAsciiDocument(LUCY_TEXT)
-        k = len(doc.indent_runs)
+        k = len(doc.indent_spans)
         assert extract(doc, ChannelId.WHITESPACE, k) == BitSequence([0] * k)
 
     def test_flipping_third_indented_line_sets_bit_two(self):
         doc = RawAsciiDocument(LUCY_TEXT)
-        runs = list(doc.indent_runs)
-        runs[2] = "\t" * len(runs[2])
-        out = doc.with_indent_runs(runs)
+        run = slot_texts(doc, doc.indent_spans)[2]
+        out = doc.with_indent_runs([2], ["\t" * len(run)])
         bits = extract(out, ChannelId.WHITESPACE, 4)
         assert bits == BitSequence((0, 0, 1, 0))
 
     def test_round_trip_preserves_parse(self):
         rng = random.Random(18)
         doc = RawAsciiDocument(LUCY_TEXT)
-        k = len(doc.indent_runs)
+        k = len(doc.indent_spans)
         payload = BitSequence(rng.randrange(2) for _ in range(k))
         out = embed(doc, ChannelId.WHITESPACE, payload)
         assert extract(out, ChannelId.WHITESPACE, k) == payload
@@ -456,6 +457,6 @@ class TestDispatch:
 def test_text_capacity_counts_the_document_slots(icosphere2):
     text = write_canonical_ascii(icosphere2).replace("    outer", "\t outer")
     doc = RawAsciiDocument(text)
-    assert capacity(doc, ChannelId.NUMBER) == len(doc.number_tokens) == 12 * 320
-    assert capacity(doc, ChannelId.WHITESPACE) == len(doc.indent_runs) == 7 * 320
+    assert capacity(doc, ChannelId.NUMBER) == len(doc.number_spans) == 12 * 320
+    assert capacity(doc, ChannelId.WHITESPACE) == len(doc.indent_spans) == 7 * 320
     assert extract(doc, ChannelId.WHITESPACE, 3) == BitSequence((0, 1, 0))

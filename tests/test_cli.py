@@ -4,6 +4,7 @@ import stat
 
 import pytest
 
+from conftest import slot_texts
 from stlstego import (
     ChannelId,
     RawAsciiDocument,
@@ -71,7 +72,8 @@ class TestCapacity:
         assert run_cli(["capacity", bad]) == 2
 
     def test_reads_each_distinct_token_once(self, carrier_ascii, capsys, monkeypatch):
-        tokens = RawAsciiDocument(carrier_ascii.read_text()).number_tokens
+        doc = RawAsciiDocument(carrier_ascii.read_text())
+        tokens = slot_texts(doc, doc.number_spans)
         seen = []
         original = stl_io.parse_float32
 

@@ -154,7 +154,7 @@ def test_model_channels_match_scalar_reference(channel, model, data):
     assert list(spec.read(model, slots)) == [ref_read(facets, s) for s in expected]
 
     payload = data.draw(st.lists(st.integers(0, 1), max_size=len(expected)))
-    written = spec.write(model, slots, BitSequence(payload))
+    written = spec.write(model, slots[: len(payload)], BitSequence(payload))
     assert bits_of(written) == bits_of(with_facets(model, ref_write(facets, expected, payload)))
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LUCY_TEXT, random_model
+from conftest import LUCY_TEXT, random_model, slot_texts
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -30,24 +30,25 @@ def test_rejoining_reproduces_text_exactly():
 
 def test_number_tokens_in_file_order():
     doc = RawAsciiDocument(LUCY_TEXT)
-    assert len(doc.number_tokens) == 24  # 12 per facet
-    assert doc.number_tokens[0] == "-0.1128"
-    assert doc.number_tokens[3] == "-13.101"
-    assert doc.number_tokens[4] == "0.527998"
-    assert doc.number_tokens[23] == "50.754"
+    tokens = slot_texts(doc, doc.number_spans)
+    assert len(tokens) == 24  # 12 per facet
+    assert tokens[0] == "-0.1128"
+    assert tokens[3] == "-13.101"
+    assert tokens[4] == "0.527998"
+    assert tokens[23] == "50.754"
 
 
 def test_indent_runs_cover_indented_lines():
     doc = RawAsciiDocument(LUCY_TEXT)
     # 7 indented lines per facet
-    assert len(doc.indent_runs) == 14
-    assert all(set(run) <= {" ", "\t"} for run in doc.indent_runs)
+    assert len(doc.indent_spans) == 14
+    assert all(set(run) <= {" ", "\t"} for run in slot_texts(doc, doc.indent_spans))
 
 
 def test_solid_name_is_not_a_number_token():
     text = "solid 123\nendsolid 123\n"
     doc = RawAsciiDocument(text)
-    assert doc.number_tokens == []
+    assert slot_texts(doc, doc.number_spans) == []
     assert doc.text == text
 
 
@@ -67,9 +68,10 @@ endsolid vertex 1 2 3
 
 def test_number_slots_follow_the_grammar():
     doc = RawAsciiDocument(NAMED_VERTEX_TEXT)
-    assert doc.number_tokens == ["0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
+    tokens = ["0", "0", "1", "0", "0", "0", "1", "0", "0", "0", "1", "0"]
+    assert slot_texts(doc, doc.number_spans) == tokens
     assert capacity(doc, ChannelId.NUMBER) == 12
-    assert len(doc.indent_runs) == 7
+    assert len(doc.indent_spans) == 7
 
 
 def test_number_round_trip_leaves_the_name_line_alone():
@@ -89,7 +91,7 @@ FACET_BODY = "outer loop\nvertex 0 0 0\nvertex 1 0 0\nvertex 0 1 0\nendloop\nend
 def test_blank_whitespace_lines_are_not_indented_lines():
     text = "solid a\n   \n  facet normal 0 0 1\n" + FACET_BODY + "endsolid a\n"
     doc = RawAsciiDocument(text)
-    assert len(doc.indent_runs) == 1
+    assert len(doc.indent_spans) == 1
 
 
 def test_crlf_and_trailing_space_preserved():
@@ -97,21 +99,18 @@ def test_crlf_and_trailing_space_preserved():
     text = "solid a\r\n\t facet normal 1 2.5e0 3 \r\n" + body + "endsolid a\r\n"
     doc = RawAsciiDocument(text)
     assert doc.text == text
-    assert doc.number_tokens == ["1", "2.5e0", "3"] + ["0", "0", "0", "1", "0", "0", "0", "1", "0"]
-    assert doc.indent_runs == ["\t "]
+    tokens = ["1", "2.5e0", "3"] + ["0", "0", "0", "1", "0", "0", "0", "1", "0"]
+    assert slot_texts(doc, doc.number_spans) == tokens
+    assert slot_texts(doc, doc.indent_spans) == ["\t "]
 
 
 def test_rewrite_preserves_surroundings():
     doc = RawAsciiDocument(LUCY_TEXT)
-    tokens = list(doc.number_tokens)
-    tokens[4] = "5.27998e-1"
-    out = doc.with_number_tokens(tokens)
+    out = doc.with_number_tokens([4], ["5.27998e-1"])
     assert "vertex -13.101 5.27998e-1 52.206" in out.text
     assert out.text.count("\n") == LUCY_TEXT.count("\n")
 
-    runs = list(doc.indent_runs)
-    runs[0] = "\t\t"
-    out = doc.with_indent_runs(runs)
+    out = doc.with_indent_runs([0], ["\t\t"])
     assert out.text.splitlines()[1].startswith("\t\tfacet")
 
 
@@ -139,14 +138,10 @@ def test_document_accepts_what_parse_ascii_accepts_and_keeps_the_text(lines, fra
 
 def test_rewrites_of_invalid_text_raise_the_parse_error():
     doc = RawAsciiDocument(LUCY_TEXT)
-    tokens = doc.number_tokens
-    tokens[3] = "nan"
     with pytest.raises(StlParseError, match=r"line 4: not a number: 'nan'"):
-        doc.with_number_tokens(tokens)
-    runs = doc.indent_runs
-    runs[0] = "x"
+        doc.with_number_tokens([3], ["nan"])
     with pytest.raises(StlParseError, match=r"line 2: unknown keyword 'xfacet'"):
-        doc.with_indent_runs(runs)
+        doc.with_indent_runs([0], ["x"])
 
 
 @settings(max_examples=25, deadline=None)
@@ -164,9 +159,9 @@ def test_slots_agree_with_the_parser(n, seed, data):
 
     model = parse_ascii(doc.text)
     components = [c for f in model.facets for v in (f.normal, *f.vertices) for c in v]
-    assert [parse_float32(t) for t in doc.number_tokens] == components
-    assert len(doc.number_tokens) == 12 * n
-    assert len(doc.indent_runs) == 7 * n
+    assert [parse_float32(t) for t in slot_texts(doc, doc.number_spans)] == components
+    assert len(doc.number_spans) == 12 * n
+    assert len(doc.indent_spans) == 7 * n
 
 
 def _assert_same_as_a_fresh_read(doc):
@@ -209,22 +204,51 @@ def test_respelling_negative_zero_flips_its_sign_bit():
     doc = RawAsciiDocument(LUCY_TEXT.replace("-0.1128", "-0"))
     assert np.signbit(doc.model.normals[0, 0])
     out = embed(doc, ChannelId.NUMBER, BitSequence([1]))
-    assert out.number_tokens[0] == "0e0"
+    assert slot_texts(out, out.number_spans)[0] == "0e0"
     assert not np.signbit(out.model.normals[0, 0])
     _assert_same_as_a_fresh_read(out)
 
 
 def test_replacements_outside_the_fast_splice_read_the_text_again():
     doc = RawAsciiDocument(LUCY_TEXT)
-    tokens = doc.number_tokens
-    tokens[5] = "1e99"
     with pytest.raises(StlParseError, match=r"line 4: out of single-precision range: '1e99'"):
-        doc.with_number_tokens(tokens)
-    runs = doc.indent_runs
-    runs[2] = ""  # the line loses its indent slot
-    out = doc.with_indent_runs(runs)
-    assert len(out.indent_runs) == len(runs) - 1
+        doc.with_number_tokens([5], ["1e99"])
+    out = doc.with_indent_runs([2], [""])  # the line loses its indent slot
+    assert len(out.indent_spans) == len(doc.indent_spans) - 1
     _assert_same_as_a_fresh_read(out)
+
+
+@pytest.mark.parametrize("numbers", [True, False])
+def test_slot_rewrites_check_their_slots(numbers):
+    doc = RawAsciiDocument(LUCY_TEXT)
+    if numbers:
+        rewrite, count, piece = doc.with_number_tokens, len(doc.number_spans), "1"
+    else:
+        rewrite, count, piece = doc.with_indent_runs, len(doc.indent_spans), " "
+    for slots in ([2, 1], [1, 1], [-1], [count], [0, count]):
+        with pytest.raises(ValueError):
+            rewrite(slots, [piece] * len(slots))
+    with pytest.raises(ValueError):
+        rewrite([1, 2], [piece])
+    with pytest.raises(ValueError):
+        rewrite([], [piece])
+    assert rewrite([], []) is doc
+    assert rewrite(np.array([], dtype=np.int64), []) is doc
+
+
+def test_mixed_indents_become_runs_of_one_character():
+    text = LUCY_TEXT.replace("  facet", " \tfacet").replace("    outer", "\t outer")
+    doc = RawAsciiDocument(text.replace("      vertex", "\t\t vertex"))
+    runs = slot_texts(doc, doc.indent_spans)
+    assert {" \t", "\t ", "\t\t "} <= set(runs)
+    k = len(runs)
+    for bits in ([0] * k, [1] * k, [i % 2 for i in range(k)], [1, 0, 1] * 3):
+        out = embed(doc, ChannelId.WHITESPACE, BitSequence(bits))
+        # the rule slot by slot: a run of the bit's character, as wide as before
+        rewritten = [("\t" if bit else " ") * len(run) for bit, run in zip(bits, runs)]
+        assert slot_texts(out, out.indent_spans) == rewritten + runs[len(bits):]
+        assert extract(out, ChannelId.WHITESPACE, len(bits)) == BitSequence(bits)
+        _assert_same_as_a_fresh_read(out)
 
 
 @pytest.mark.parametrize("chunk", [1, 97, 4096])

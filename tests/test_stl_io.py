@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import LUCY_TEXT, random_model, unit_facet
+from conftest import LUCY_TEXT, random_model, slot_texts, unit_facet
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -430,7 +430,8 @@ class TestOncePerDistinctValue:
         from stlstego import stl_io
 
         text = write_canonical_ascii(generate_test_mesh(2))
-        tokens = RawAsciiDocument(text).number_tokens
+        doc = RawAsciiDocument(text)
+        tokens = slot_texts(doc, doc.number_spans)
         seen = []
         original = stl_io.parse_float32
 
