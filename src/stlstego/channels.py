@@ -39,7 +39,6 @@ from .model import (
     StlFormat,
     StlModel,
     coords,
-    degenerate,
     extreme_rotation,
     lex_compare,
     rhr_normals,
@@ -68,7 +67,7 @@ def _bits(bits) -> np.ndarray:
 
 
 def _usable_indices(model: StlModel) -> np.ndarray:
-    return np.flatnonzero(~degenerate(model.vertices))
+    return np.flatnonzero(~model.degenerate)
 
 
 def _normal_usable_indices(model: StlModel) -> np.ndarray:
@@ -80,7 +79,7 @@ def _halves(model: StlModel, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical forms of each order run's two halves: one geometry key
     each for a pair, one canonical pair (smallest key first) each for a run
     of four. runs is an (m, 2) or (m, 4) index array."""
-    keys = extreme_rotation(model.vertices[runs.reshape(-1)], -1).reshape(*runs.shape, 9)
+    keys = model.geometry_keys[runs]
     if runs.shape[1] == 2:
         return keys[:, 0], keys[:, 1]
     halves = []
@@ -127,8 +126,8 @@ def _read_vertex(model: StlModel, indices) -> np.ndarray:
 def _write_vertex(model: StlModel, indices, bits) -> StlModel:
     """Bit 1 lists the largest vertex first, bit 0 the smallest: the
     rotation that Python's max or min picks among the three."""
-    v = model.vertices[indices]
-    chosen = np.where(_bits(bits)[:, None], extreme_rotation(v, 1), extreme_rotation(v, -1))
+    largest = extreme_rotation(model.vertices[indices], 1)
+    chosen = np.where(_bits(bits)[:, None], largest, model.geometry_keys[indices])
     records = model.records.copy()
     coords(records)[indices, 1:] = chosen.reshape(-1, 3, 3)
     return model.with_records(records)

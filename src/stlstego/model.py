@@ -85,6 +85,11 @@ class StlModel:
     from ``facets``, any iterable of Facet, or from ``records``, a 1-d
     RECORD_DTYPE array the model then owns. Equality compares values, so
     -0.0 equals 0.0.
+
+    A model computes three things once, on first access, and keeps them:
+    ``facets``, the read-only (n, 9) ``geometry_keys`` array and the
+    read-only ``degenerate`` mask. A model made by ``with_records``
+    computes its own.
     """
 
     solid_name: str
@@ -143,6 +148,16 @@ class StlModel:
             for n, a, b, c, t in zip(normal, v1, v2, v3, attr)
         )
 
+    @cached_property
+    def geometry_keys(self) -> np.ndarray:
+        """(n, 9) float32: geometry_key of each facet, flattened."""
+        return _read_only(extreme_rotation(self.vertices, -1))
+
+    @cached_property
+    def degenerate(self) -> np.ndarray:
+        """Facet.is_degenerate of each facet."""
+        return _read_only(degenerate(self.vertices))
+
     @property
     def vertices(self) -> np.ndarray:
         """(n, 3, 3) float32 view: v1, v2, v3 of each facet."""
@@ -155,6 +170,11 @@ class StlModel:
 
     def with_records(self, records: np.ndarray) -> "StlModel":
         return StlModel(self.solid_name, source_format=self.source_format, records=records)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def unit_rhr_normal(v1: Vec3, v2: Vec3, v3: Vec3) -> Vec3 | None:

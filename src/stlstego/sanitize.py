@@ -18,6 +18,7 @@ import secrets
 import struct
 import weakref
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -37,7 +38,10 @@ class RandomSource:
 
     crypto() draws from the OS entropy pool and is the only mode suitable
     for real use. seeded() is deterministic, for reproducible experiments
-    and tests; never wire it into a default code path.
+    and tests; never wire it into a default code path. A seeded source's
+    stream is random.Random.randrange's rejection loop over getrandbits,
+    run inside randbelow, one Python call per draw: the same values and
+    the same generator state as randrange, which the tests pin.
 
     A crypto source maps each 64-bit word x read from os.urandom to
     (x * n) >> 64, rejecting the words whose low 64 bits of x * n fall
@@ -69,7 +73,14 @@ class RandomSource:
         """Uniform integer in [0, n)."""
         rng = self._rng
         if rng is not None:
-            return rng.randrange(n)
+            n = index(n)
+            if n <= 0:
+                raise ValueError(f"empty range for randrange({n})")
+            k = n.bit_length()
+            r = rng.getrandbits(k)
+            while r >= n:
+                r = rng.getrandbits(k)
+            return r
         if not 0 < n <= 1 << 64:
             if n <= 0:
                 raise ValueError(f"empty range for randrange({n})")

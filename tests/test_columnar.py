@@ -265,3 +265,51 @@ class TestModelValue:
         for channel in REFERENCE:
             embed(model, channel, BitSequence([1, 0, 1, 1]))
         assert bits_of(model) == before
+
+
+def keyed_model(seed: int) -> StlModel:
+    """A random model with degenerate facets and -0.0 coordinates."""
+    facets = list(random_model(40, seed=seed).facets)
+    p, q = vec3(1, 2, 3), vec3(4, 5, 6)
+    facets[3] = Facet(p, p, q)
+    facets[17] = Facet(q, p, q)
+    facets[29] = Facet(p, q, q)
+    facets[31] = Facet((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    facets[35] = Facet((-0.0, 1.0, 0.0), (0.0, -0.0, 0.0), (1.0, 0.0, -0.0))
+    return StlModel(facets=tuple(facets))
+
+
+def assert_cached_arrays_match_scalar(model: StlModel) -> None:
+    keys = [np.array(geometry_key(f), dtype="<f4").reshape(9) for f in model.facets]
+    # bytes, so that -0.0 and 0.0 count as different
+    assert model.geometry_keys.tobytes() == np.array(keys, dtype="<f4").tobytes()
+    assert model.degenerate.tolist() == [f.is_degenerate() for f in model.facets]
+
+
+class TestCachedArrays:
+    @pytest.mark.parametrize("seed", [21, 22])
+    def test_rows_match_the_scalar_definitions(self, seed):
+        model = keyed_model(seed)
+        assert_cached_arrays_match_scalar(model)
+        assert model.degenerate.sum() == 4  # (0.0, ...) equals (-0.0, ...)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_models())
+    def test_rows_match_the_scalar_definitions_on_ties(self, model):
+        assert_cached_arrays_match_scalar(model)
+
+    def test_arrays_are_read_only_and_cached(self):
+        model = keyed_model(23)
+        for name in ("geometry_keys", "degenerate"):
+            array = getattr(model, name)
+            assert getattr(model, name) is array
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_a_derived_model_computes_its_own(self):
+        model = keyed_model(24)
+        keys, mask = model.geometry_keys, model.degenerate
+        reversed_model = model.with_records(model.records[::-1])
+        assert reversed_model.geometry_keys is not keys
+        assert reversed_model.geometry_keys.tobytes() == keys[::-1].tobytes()
+        assert reversed_model.degenerate.tolist() == mask[::-1].tolist()

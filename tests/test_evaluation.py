@@ -18,7 +18,7 @@ from stlstego import (
     run_trial,
     statistical_gates,
 )
-from stlstego import channels
+from stlstego import channels, model
 from stlstego.evaluation import derive_seed
 
 
@@ -267,3 +267,36 @@ def test_gates_fail_on_biased_stats():
     stats = compute_stats(matrix)
     gates = statistical_gates(ChannelId.FACET, stats)
     assert gates and not any(g.passed for g in gates)
+
+
+@pytest.fixture
+def keyed_carrier():
+    carrier = generate_test_mesh(2)
+    carrier.geometry_keys, carrier.degenerate  # computed before any counting
+    return carrier
+
+
+@pytest.fixture
+def counted_rotations(keyed_carrier, monkeypatch):
+    """The sign of every extreme_rotation call, in channels and model."""
+    calls = []
+    original = model.extreme_rotation
+
+    def counted(vertices, sign):
+        calls.append(sign)
+        return original(vertices, sign)
+
+    monkeypatch.setattr(model, "extreme_rotation", counted)
+    monkeypatch.setattr(channels, "extreme_rotation", counted)
+    return calls
+
+
+def test_a_facet_trial_computes_keys_once(keyed_carrier, counted_rotations):
+    cfg = TrialConfig(channel=ChannelId.FACET, carrier=keyed_carrier, payload_bits=64, seed=3)
+    run_trial(cfg, 0)
+    assert counted_rotations == [-1]  # for the scrubbed model
+
+
+def test_a_vertex_embed_computes_no_keys(keyed_carrier, counted_rotations):
+    channels.embed(keyed_carrier, ChannelId.VERTEX, BitSequence([1, 0] * 32))
+    assert -1 not in counted_rotations

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from collections import Counter
@@ -307,6 +308,35 @@ def test_seeded_stream_is_random_randrange():
         assert [source.randbelow(k) for k in bounds] == [
             reference.randrange(k) for k in bounds
         ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**62 + 1])
+def test_seeded_draws_leave_the_state_randrange_leaves(seed):
+    # a numpy integer too: the bound goes through operator.index, as in randrange
+    bounds = [1, 2, 3, 2**32 - 1, 2**32, 2**64, 2**70, np.int64(81920)] * 25
+    reference = random.Random(seed)
+    source = RandomSource.seeded(seed)
+    drawn = [source.randbelow(k) for k in bounds]
+    assert drawn == [reference.randrange(k) for k in bounds]
+    assert all(type(x) is int for x in drawn)
+    assert source._rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_seeded_empty_range_raises(n):
+    source = RandomSource.seeded(1)
+    # no draw is ever below n <= 0 (getrandbits(0) is 0), so a rejection
+    # loop without the check never ends; this one stops after 100 draws
+    assert source._rng.getrandbits(0) == 0
+    words, calls = source._rng.getrandbits, itertools.count(1)
+
+    def bounded(k):
+        assert next(calls) < 100, "the rejection loop does not end"
+        return words(k)
+
+    source._rng.getrandbits = bounded
+    with pytest.raises(ValueError, match="empty range"):
+        source.randbelow(n)
 
 
 def test_random_source_kinds():
