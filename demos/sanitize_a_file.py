@@ -6,8 +6,6 @@ re-rotated, normals are recomputed, and the canonical writer normalizes
 notation and whitespace. The geometry itself is untouched, down to the
 exact single-precision coordinates.
 """
-from collections import Counter
-
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -15,7 +13,6 @@ from stlstego import (
     embed,
     extract,
     generate_test_mesh,
-    geometry_key,
     parse_bytes,
     sanitize_all,
     serialize,
@@ -41,14 +38,18 @@ leftovers = extract(clean, ChannelId.FACET, len(payload))
 matches = sum(a == b for a, b in zip(leftovers, payload))
 print(f"payload bits still matching after scrub: {matches}/{len(payload)} (coin-flip level)")
 
-same_geometry = Counter(map(geometry_key, clean.facets)) == Counter(
-    map(geometry_key, carrier.facets)
-)
+
+def geometry(model):
+    """The facets' geometry as a multiset: each facet's rotation-invariant
+    key, sorted. The rows compare as Python lists, so -0.0 equals 0.0."""
+    return sorted(model.geometry_keys.tolist())
+
+
+same_geometry = geometry(clean) == geometry(carrier)
 print(f"geometry preserved exactly: {same_geometry}")
+assert same_geometry
 
 # scrubbing is idempotent on the geometry: a second pass changes nothing
 again, _ = sanitize_all(clean_bytes, RandomSource.crypto())
-assert Counter(map(geometry_key, parse_bytes(again).facets)) == Counter(
-    map(geometry_key, carrier.facets)
-)
+assert geometry(parse_bytes(again)) == geometry(carrier)
 print("second scrub: geometry still identical")

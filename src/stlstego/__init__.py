@@ -31,7 +31,7 @@ from .evaluation import (
     statistical_gates,
 )
 from .icosphere import generate_test_mesh
-from .model import Facet, StlFormat, StlModel, Vec3, f32, geometry_key, unit_rhr_normal, vec3
+from .model import Facet, StlFormat, StlModel
 from .rawdoc import RawAsciiDocument
 from .sanitize import (
     RandomSource,

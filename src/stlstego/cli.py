@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
-import tempfile
 from pathlib import Path
 
 from .bits import BitSequence
@@ -95,17 +95,14 @@ def _build_parser() -> _Parser:
 
 
 def _write_atomic(path: Path, data: bytes) -> None:
-    path = Path(path)
-    parent = path.parent if str(path.parent) else Path(".")
-    parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=parent, prefix=path.name + ".", suffix=".tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # created as open() creates a file, so the umask (and any default ACL)
+    # sets its mode; O_EXCL never reuses an existing file
+    tmp = path.parent / f"{path.name}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        # mkstemp creates 0600; give the file the mode open() would have
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -110,28 +110,27 @@ def run_trial(
     cfg: TrialConfig,
     trial_index: int,
     payload: BitSequence | None = None,
-    sanitizer=None,
 ) -> TrialOutcome:
     """Embed, scrub, extract, and score one trial.
 
     payload defaults to the seed-derived experiment payload; pass the same
-    object for every trial of an experiment. sanitizer overrides the
-    channel's own scrubber (for example with a no-op for control runs); it
-    receives the channel's carrier kind and the trial's RandomSource.
+    object for every trial of an experiment.
     """
     if payload is None:
         payload = _experiment_payload(cfg)
     rng = _trial_rng(cfg, trial_index)
-    scrub = sanitizer if sanitizer is not None else CHANNELS[cfg.channel].scrub
 
     embedded = embed(cfg.carrier, cfg.channel, payload)
-    scrubbed = scrub(embedded, rng)
+    scrubbed = CHANNELS[cfg.channel].scrub(embedded, rng)
     extracted = extract(scrubbed, cfg.channel, len(payload))
     survived = np.array(extracted.bits, dtype=np.int8) == np.array(payload.bits, dtype=np.int8)
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
-        usable = CHANNELS[ChannelId.VERTEX].slots(embedded)[: len(payload)]
+        # a rotation keeps which facets are degenerate, so the carrier's
+        # cached mask gives the embedded model's slots
+        carrier = as_carrier(cfg.carrier, ChannelId.VERTEX)
+        usable = CHANNELS[ChannelId.VERTEX].slots(carrier)[: len(payload)]
         same = embedded.vertices[usable] == scrubbed.vertices[usable]
         arrangement = same.all(axis=(1, 2))
     return TrialOutcome(survived=survived, arrangement_unchanged=arrangement)

@@ -10,6 +10,7 @@ import numpy as np
 from .model import RECORD_DTYPE, StlFormat, StlModel, rhr_normals
 
 _GOLDEN = (1.0 + 5.0**0.5) / 2.0
+_RADIUS = 25.0
 
 _ICO_VERTICES = [
     (-1, _GOLDEN, 0), (1, _GOLDEN, 0), (-1, -_GOLDEN, 0), (1, -_GOLDEN, 0),
@@ -25,17 +26,18 @@ _ICO_FACES = [
 ]
 
 
-def _project(p: np.ndarray, radius: float) -> np.ndarray:
-    """Points of an (..., 3) array moved onto the sphere of this radius."""
-    return p / np.sqrt(np.einsum("...i,...i->...", p, p))[..., None] * radius
+def _project(p: np.ndarray) -> np.ndarray:
+    """Points of an (..., 3) array moved onto the sphere of _RADIUS."""
+    return p / np.sqrt(np.einsum("...i,...i->...", p, p))[..., None] * _RADIUS
 
 
-def generate_test_mesh(subdivisions: int, radius: float = 25.0) -> StlModel:
-    """Icosphere with 20 * 4**subdivisions facets and outward RHR normals."""
+def generate_test_mesh(subdivisions: int) -> StlModel:
+    """Icosphere of radius 25 with 20 * 4**subdivisions facets and outward
+    RHR normals."""
     if not 0 <= subdivisions <= 6:
         raise ValueError("subdivisions must be in [0, 6]")
 
-    tris = _project(np.array(_ICO_VERTICES, dtype=np.float64), radius)[_ICO_FACES]
+    tris = _project(np.array(_ICO_VERTICES, dtype=np.float64))[_ICO_FACES]
     a, b, c = tris.transpose(1, 0, 2)
     # orient outward: normal must point away from the sphere center
     inward = np.einsum("ij,ij->i", np.cross(b - a, c - a), a + b + c) < 0
@@ -43,9 +45,9 @@ def generate_test_mesh(subdivisions: int, radius: float = 25.0) -> StlModel:
 
     for _ in range(subdivisions):
         a, b, c = tris.transpose(1, 0, 2)
-        ab = _project((a + b) / 2.0, radius)
-        bc = _project((b + c) / 2.0, radius)
-        ca = _project((c + a) / 2.0, radius)
+        ab = _project((a + b) / 2.0)
+        bc = _project((b + c) / 2.0)
+        ca = _project((c + a) / 2.0)
         tris = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3, 3)
 
     records = np.zeros(len(tris), dtype=RECORD_DTYPE)

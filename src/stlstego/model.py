@@ -4,25 +4,24 @@ A model holds its facets in one numpy record array laid out like the
 records of a binary STL (``RECORD_DTYPE``): the stored normal and the three
 vertices as little-endian float32, then the 16-bit attribute word. Every
 coordinate is therefore exactly what a binary STL can hold on disk.
-``Facet`` is the value of one record, made of Python floats on demand.
 All types are immutable (a model's record array is read-only); operations
 elsewhere in the package return new values, so models are safe to share
 between threads.
 
-The array functions at the end of this module are the columnar forms of
-``unit_rhr_normal``, ``geometry_key``, ``Facet.is_degenerate`` and Python's
-tuple comparison, with the same results bit for bit.
+The array functions at the end of this module state the geometry the
+sanitizer preserves: ``rhr_normals`` (the unit right-hand-rule normal),
+``extreme_rotation`` (with sign -1, the rotation-invariant geometry key),
+``degenerate`` (repeated vertices) and ``lex_compare`` (Python's tuple
+comparison). The scalar per-facet definitions they are checked against,
+bit for bit, live in the tests (``tests/scalar_reference.py``).
 """
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-
-Vec3 = tuple[float, float, float]
 
 RECORD_DTYPE = np.dtype(
     [
@@ -37,15 +36,6 @@ RECORD_DTYPE = np.dtype(
 _COORDS_DTYPE = np.dtype([("coords", "<f4", (4, 3)), ("attr", "<u2")])
 
 
-def f32(x: float) -> float:
-    """Round to the nearest single-precision value, returned as a float."""
-    return float(np.float32(x))
-
-
-def vec3(x: float, y: float, z: float) -> Vec3:
-    return (f32(x), f32(y), f32(z))
-
-
 class StlFormat(enum.Enum):
     ASCII = "ascii"
     BINARY = "binary"
@@ -53,22 +43,18 @@ class StlFormat(enum.Enum):
 
 @dataclass(frozen=True)
 class Facet:
-    """One triangle: three vertices, a stored normal, and the 16-bit
-    attribute word carried by binary STL records (0 for ASCII sources)."""
+    """One record as Python values: three vertices and a stored normal,
+    each an (x, y, z) tuple of floats, and the 16-bit attribute word."""
 
-    v1: Vec3
-    v2: Vec3
-    v3: Vec3
-    normal: Vec3 = (0.0, 0.0, 0.0)
+    v1: tuple
+    v2: tuple
+    v3: tuple
+    normal: tuple = (0.0, 0.0, 0.0)
     attribute: int = 0
 
     @property
-    def vertices(self) -> tuple[Vec3, Vec3, Vec3]:
+    def vertices(self) -> tuple:
         return (self.v1, self.v2, self.v3)
-
-    def is_degenerate(self) -> bool:
-        """True when any two vertices coincide under exact comparison."""
-        return self.v1 == self.v2 or self.v2 == self.v3 or self.v1 == self.v3
 
 
 def coords(records: np.ndarray) -> np.ndarray:
@@ -76,45 +62,30 @@ def coords(records: np.ndarray) -> np.ndarray:
     return records.view(_COORDS_DTYPE)["coords"]
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class StlModel:
     """An ordered facet list plus format metadata.
 
     Facet order is significant and must survive parse/serialize round
-    trips: the ordering itself is one of the data channels. Build a model
-    from ``facets``, any iterable of Facet, or from ``records``, a 1-d
-    RECORD_DTYPE array the model then owns. Equality compares values, so
-    -0.0 equals 0.0.
+    trips: the ordering itself is one of the data channels. ``records`` is
+    a 1-d RECORD_DTYPE array (empty by default) that the model then owns,
+    read-only. Equality compares values, so -0.0 equals 0.0.
 
     A model computes three things once, on first access, and keeps them:
-    ``facets``, the read-only (n, 9) ``geometry_keys`` array and the
-    read-only ``degenerate`` mask. A model made by ``with_records``
-    computes its own.
+    the read-only (n, 9) ``geometry_keys`` array, the read-only
+    ``degenerate`` mask and ``facets``, the records as Facet values (kept
+    for ``perfbench/gen.py``, which reads them). A model made by
+    ``with_records`` computes its own.
     """
 
-    solid_name: str
-    records: np.ndarray = field(repr=False)
-    source_format: StlFormat
+    solid_name: str = ""
+    records: np.ndarray = field(default_factory=lambda: np.zeros(0, RECORD_DTYPE), repr=False)
+    source_format: StlFormat = StlFormat.ASCII
 
-    def __init__(
-        self,
-        solid_name: str = "",
-        facets=(),
-        source_format: StlFormat = StlFormat.ASCII,
-        records: np.ndarray | None = None,
-    ):
-        if records is None:  # coordinates round to float32
-            rows = [(f.normal, f.v1, f.v2, f.v3, f.attribute) for f in facets]
-            records = np.array(rows, dtype=RECORD_DTYPE)
-        elif facets:
-            raise ValueError("give facets or records, not both")
-        if records.dtype != RECORD_DTYPE or records.ndim != 1:
+    def __post_init__(self):
+        if self.records.dtype != RECORD_DTYPE or self.records.ndim != 1:
             raise ValueError("records must be a 1-d array of RECORD_DTYPE")
-        records = records.view()
-        records.flags.writeable = False
-        object.__setattr__(self, "solid_name", solid_name)
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "source_format", source_format)
+        object.__setattr__(self, "records", _read_only(self.records.view()))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -150,12 +121,13 @@ class StlModel:
 
     @cached_property
     def geometry_keys(self) -> np.ndarray:
-        """(n, 9) float32: geometry_key of each facet, flattened."""
+        """(n, 9) float32: each facet's vertex list in its smallest cyclic
+        rotation, flattened. Equal rows mean the same triangle."""
         return _read_only(extreme_rotation(self.vertices, -1))
 
     @cached_property
     def degenerate(self) -> np.ndarray:
-        """Facet.is_degenerate of each facet."""
+        """True for each facet with two equal vertices."""
         return _read_only(degenerate(self.vertices))
 
     @property
@@ -169,7 +141,7 @@ class StlModel:
         return coords(self.records)[:, 0]
 
     def with_records(self, records: np.ndarray) -> "StlModel":
-        return StlModel(self.solid_name, source_format=self.source_format, records=records)
+        return StlModel(self.solid_name, records, self.source_format)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -177,43 +149,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def unit_rhr_normal(v1: Vec3, v2: Vec3, v3: Vec3) -> Vec3 | None:
-    """Unit right-hand-rule normal of a triangle, or None for zero area.
-
-    cross(v2 - v1, v3 - v1), normalized. Evaluated in double precision,
-    rounded back to single precision component-wise.
-    """
-    ax, ay, az = v2[0] - v1[0], v2[1] - v1[1], v2[2] - v1[2]
-    bx, by, bz = v3[0] - v1[0], v3[1] - v1[1], v3[2] - v1[2]
-    nx = ay * bz - az * by
-    ny = az * bx - ax * bz
-    nz = ax * by - ay * bx
-    norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if norm == 0.0:
-        return None
-    return vec3(nx / norm, ny / norm, nz / norm)
-
-
-def geometry_key(facet: Facet) -> tuple[Vec3, Vec3, Vec3]:
-    """Rotation-invariant identity of a facet's triangle.
-
-    The lexicographically smallest of the three cyclic rotations of the
-    vertex list. Stored normals and attribute words are excluded; they
-    carry no geometry. Defined for degenerate facets as well.
-    """
-    a, b, c = facet.v1, facet.v2, facet.v3
-    return min((a, b, c), (b, c, a), (c, a, b))
-
-
 # --- columnar forms ----------------------------------------------------------
 
 
 def rhr_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """unit_rhr_normal of each facet of an (n, 3, 3) vertex array.
+    """Unit right-hand-rule normal of each facet of an (n, 3, 3) vertex array.
 
-    Returns the float32 normals, zero where the area is zero, and the mask
-    of nonzero areas. Same operations in the same order as the scalar
-    function, so every component is bit-identical to it.
+    cross(v2 - v1, v3 - v1), normalized in double precision and rounded to
+    float32 component-wise. Returns the normals, zero where the area is
+    zero, and the mask of nonzero areas.
     """
     v = vertices.astype(np.float64)
     ax, ay, az = (v[:, 1] - v[:, 0]).T
@@ -236,7 +180,8 @@ def lex_compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def degenerate(vertices: np.ndarray) -> np.ndarray:
-    """Facet.is_degenerate of each facet of an (n, 3, 3) vertex array."""
+    """True for each facet of an (n, 3, 3) vertex array in which two
+    vertices are equal (exact comparison, so -0.0 equals 0.0)."""
     v1, v2, v3 = vertices[:, 0], vertices[:, 1], vertices[:, 2]
     return (v1 == v2).all(axis=1) | (v2 == v3).all(axis=1) | (v1 == v3).all(axis=1)
 
@@ -255,7 +200,8 @@ def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:
     """The smallest (sign -1) or largest (sign 1) cyclic rotation of each
     vertex list of an (n, 3, 3) array, flattened to (n, 9). Picked as
     Python's min and max pick among (a, b, c), (b, c, a), (c, a, b), the
-    first on ties, so for sign -1 each row is geometry_key."""
+    first on ties. With sign -1 each row is the facet's geometry key: the
+    same for all three rotations, and free of the normal and attribute."""
     n = len(vertices)
     best = vertices.reshape(n, 9)
     for start in (1, 2):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from stlstego import Facet, StlModel, generate_test_mesh, unit_rhr_normal, vec3
+from scalar_reference import is_degenerate, model_from_facets, unit_rhr_normal, vec3
+from stlstego import Facet, StlModel, generate_test_mesh
 
 # Two-facet ASCII excerpt used across the parser and codec tests.
 LUCY_TEXT = """\
@@ -39,7 +40,7 @@ def random_facet(rng: random.Random, scale: float = 50.0) -> Facet:
     while True:
         coords = [vec3(*(rng.uniform(-scale, scale) for _ in range(3))) for _ in range(3)]
         f = Facet(v1=coords[0], v2=coords[1], v3=coords[2])
-        if not f.is_degenerate() and unit_rhr_normal(*f.vertices) is not None:
+        if not is_degenerate(f) and unit_rhr_normal(*f.vertices) is not None:
             return f.__class__(
                 v1=f.v1, v2=f.v2, v3=f.v3, normal=unit_rhr_normal(*f.vertices)
             )
@@ -56,7 +57,7 @@ def random_model(n: int, seed: int, attributes: bool = False) -> StlModel:
                 attribute=rng.randrange(1 << 16),
             )
         facets.append(f)
-    return StlModel(solid_name=f"random_{seed}", facets=tuple(facets))
+    return model_from_facets(f"random_{seed}", tuple(facets))
 
 
 def tagged_model(n: int) -> StlModel:
@@ -73,7 +74,7 @@ def tagged_model(n: int) -> StlModel:
                 attribute=i,
             )
         )
-    return StlModel(solid_name="tagged", facets=tuple(facets))
+    return model_from_facets("tagged", tuple(facets))
 
 
 @pytest.fixture(scope="session")

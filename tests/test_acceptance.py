@@ -14,6 +14,7 @@ import pytest
 from scipy import stats as sps
 
 from conftest import LUCY_TEXT, random_model, tagged_model, unit_facet
+from scalar_reference import geometry_key, is_degenerate, model_from_facets
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -26,7 +27,6 @@ from stlstego import (
     embed,
     extract,
     generate_test_mesh,
-    geometry_key,
     parse_ascii,
     parse_binary,
     parse_bytes,
@@ -153,12 +153,12 @@ def test_06_normal_recomputation_oracle():
         from stlstego import Facet
 
         f = Facet(v1=coords[0], v2=coords[1], v3=coords[2])
-        if not f.is_degenerate():
+        if not is_degenerate(f):
             e1 = np.subtract(coords[1], coords[0], dtype=np.float64)
             e2 = np.subtract(coords[2], coords[0], dtype=np.float64)
             if np.linalg.norm(np.cross(e1, e2)) > 0:
                 facets.append(f)
-    model = StlModel(facets=tuple(facets))
+    model = model_from_facets(facets=tuple(facets))
     cleaned = sanitize_normal_channel(model)
     worst = 0.0
     for f in cleaned.facets:
@@ -252,7 +252,7 @@ def test_10_preimage_resistance_proxy(icosphere2):
 def _binary_fixtures():
     fixtures = [
         StlModel(solid_name="empty"),
-        StlModel(solid_name="single", facets=(unit_facet(),)),
+        model_from_facets("single", (unit_facet(),)),
         tagged_model(4),
         tagged_model(9),
         parse_ascii(LUCY_TEXT),
@@ -262,13 +262,14 @@ def _binary_fixtures():
     ]
     for seed in range(6):
         fixtures.append(random_model(seed * 7 + 1, seed=seed, attributes=bool(seed % 2)))
-    from stlstego import Facet, vec3
+    from scalar_reference import vec3
+    from stlstego import Facet
 
     degenerate = Facet(v1=vec3(1, 1, 1), v2=vec3(1, 1, 1), v3=vec3(2, 2, 2))
     collinear = Facet(v1=vec3(0, 0, 0), v2=vec3(1, 0, 0), v3=vec3(3, 0, 0))
-    fixtures.append(StlModel(solid_name="degenerate", facets=(degenerate, unit_facet())))
-    fixtures.append(StlModel(solid_name="collinear", facets=(collinear,)))
-    fixtures.append(StlModel(solid_name="attrs", facets=(unit_facet(0xBEEF),)))
+    fixtures.append(model_from_facets("degenerate", (degenerate, unit_facet())))
+    fixtures.append(model_from_facets("collinear", (collinear,)))
+    fixtures.append(model_from_facets("attrs", (unit_facet(0xBEEF),)))
     fixtures.append(random_model(33, seed=9, attributes=True))
     fixtures.append(random_model(2, seed=10))
     fixtures.append(generate_test_mesh(3))

@@ -10,7 +10,10 @@ from scalar_reference import (
     Ordering,
     canonical_vertex_rotation,
     compare_facets,
+    geometry_key,
     max_vertex,
+    model_from_facets,
+    vec3,
     with_facets,
     with_vertices,
 )
@@ -27,9 +30,7 @@ from stlstego import (
     embed,
     extract,
     generate_test_mesh,
-    geometry_key,
     parse_ascii,
-    vec3,
     write_canonical_ascii,
 )
 from stlstego.errors import CapacityExceededError, ChannelUnavailableError
@@ -156,19 +157,19 @@ class TestCapacity:
 
     def test_degenerate_facets_excluded(self):
         degenerate = Facet(v1=A, v2=A, v3=B)
-        model = StlModel(facets=(degenerate,) + random_model(4, seed=3).facets)
+        model = model_from_facets(facets=(degenerate,) + random_model(4, seed=3).facets)
         assert capacity(model, ChannelId.VERTEX) == 4
         assert capacity(model, ChannelId.FACET) == 2
 
     def test_equal_pairs_skipped(self):
         f = abc_facet()
-        model = StlModel(facets=(f, abc_facet((B, C, A)), f, shifted(f, 2.0)))
+        model = model_from_facets(facets=(f, abc_facet((B, C, A)), f, shifted(f, 2.0)))
         # first pair is two rotations of the same triangle: unusable
         assert capacity(model, ChannelId.FACET) == 1
 
     def test_zero_area_excluded_from_normal_channel(self):
         collinear = Facet(v1=vec3(0, 0, 0), v2=vec3(1, 0, 0), v3=vec3(2, 0, 0))
-        model = StlModel(facets=(collinear, unit_facet()))
+        model = model_from_facets(facets=(collinear, unit_facet()))
         assert capacity(model, ChannelId.NORMAL) == 1
         assert capacity(model, ChannelId.VERTEX) == 2
 
@@ -201,19 +202,19 @@ class TestVertexCodec:
         return hits[0]
 
     def test_bit_one_lists_maximum_first(self):
-        model = StlModel(facets=(abc_facet(),))
+        model = model_from_facets(facets=(abc_facet(),))
         out = embed(model, ChannelId.VERTEX, BitSequence((1,)))
         assert out.facets[0].vertices == (B, C, A)
         assert out.facets[0].vertices == self.brute_force_state(abc_facet(), 1)
 
     def test_bit_zero_lists_minimum_first(self):
-        model = StlModel(facets=(abc_facet((B, C, A)),))
+        model = model_from_facets(facets=(abc_facet((B, C, A)),))
         out = embed(model, ChannelId.VERTEX, BitSequence((0,)))
         assert out.facets[0].vertices == (A, B, C)
         assert out.facets[0].vertices == self.brute_force_state(abc_facet(), 0)
 
     def test_extract_mirrors_embed(self):
-        model = StlModel(facets=(abc_facet((B, C, A)), abc_facet()))
+        model = model_from_facets(facets=(abc_facet((B, C, A)), abc_facet()))
         assert extract(model, ChannelId.VERTEX, 2) == BitSequence((1, 0))
         assert extract(model, ChannelId.VERTEX, 0) == BitSequence(())
 
@@ -233,14 +234,14 @@ class TestVertexCodec:
 
     def test_capacity_enforced(self):
         with pytest.raises(CapacityExceededError):
-            embed(StlModel(facets=(abc_facet(),)), ChannelId.VERTEX, BitSequence((1, 0)))
+            embed(model_from_facets(facets=(abc_facet(),)), ChannelId.VERTEX, BitSequence((1, 0)))
 
 
 class TestFacetCodec:
     def test_bit_zero_orders_smaller_first(self):
         f = abc_facet()
         greater = shifted(f, 3.0)
-        model = StlModel(facets=(greater, f))
+        model = model_from_facets(facets=(greater, f))
         out = embed(model, ChannelId.FACET, BitSequence((0,)))
         assert out.facets == (f, greater)
         out = embed(model, ChannelId.FACET, BitSequence((1,)))
@@ -249,8 +250,8 @@ class TestFacetCodec:
     def test_extract_bit_definition(self):
         f = abc_facet()
         greater = shifted(f, 3.0)
-        assert extract(StlModel(facets=(greater, f)), ChannelId.FACET, 1) == BitSequence((1,))
-        assert extract(StlModel(facets=(f, greater)), ChannelId.FACET, 1) == BitSequence((0,))
+        assert extract(model_from_facets(facets=(greater, f)), ChannelId.FACET, 1) == BitSequence((1,))
+        assert extract(model_from_facets(facets=(f, greater)), ChannelId.FACET, 1) == BitSequence((0,))
 
     def test_round_trip_full_capacity(self, icosphere4):
         rng = random.Random(13)
@@ -269,7 +270,7 @@ class TestFacetCodec:
 
 class TestNormalCodec:
     def test_bit_one_negates_rhr_normal(self):
-        model = StlModel(facets=(abc_facet(),))
+        model = model_from_facets(facets=(abc_facet(),))
         out = embed(model, ChannelId.NORMAL, BitSequence((1,)))
         assert out.facets[0].normal == (0.0, 0.0, -1.0)
         out = embed(model, ChannelId.NORMAL, BitSequence((0,)))
@@ -278,16 +279,16 @@ class TestNormalCodec:
     def test_extract_sign_of_dot(self):
         stored_against = replace(abc_facet(), normal=vec3(0.1, -0.2, -0.9))
         stored_with = replace(abc_facet(), normal=vec3(0, 0, 2.5))
-        model = StlModel(facets=(stored_against, stored_with))
+        model = model_from_facets(facets=(stored_against, stored_with))
         assert extract(model, ChannelId.NORMAL, 2) == BitSequence((1, 0))
 
     def test_zero_length_normal_decodes_zero(self):
-        model = StlModel(facets=(replace(abc_facet(), normal=(0.0, 0.0, 0.0)),))
+        model = model_from_facets(facets=(replace(abc_facet(), normal=(0.0, 0.0, 0.0)),))
         assert extract(model, ChannelId.NORMAL, 1) == BitSequence((0,))
 
     def test_zero_area_facets_skipped(self):
         collinear = Facet(v1=vec3(0, 0, 0), v2=vec3(1, 0, 0), v3=vec3(2, 0, 0))
-        model = StlModel(facets=(collinear, abc_facet()))
+        model = model_from_facets(facets=(collinear, abc_facet()))
         out = embed(model, ChannelId.NORMAL, BitSequence((1,)))
         assert out.facets[0] == collinear
         assert out.facets[1].normal == (0.0, 0.0, -1.0)
@@ -303,15 +304,15 @@ class TestRobustPairCodec:
     def test_increasing_pairs_read_zero(self):
         base = abc_facet()
         quad = tuple(shifted(base, float(i)) for i in range(4))
-        model = StlModel(facets=quad)
+        model = model_from_facets(facets=quad)
         assert extract(model, ChannelId.ROBUST_PAIR, 1) == BitSequence((0,))
-        swapped = StlModel(facets=(quad[2], quad[3], quad[0], quad[1]))
+        swapped = model_from_facets(facets=(quad[2], quad[3], quad[0], quad[1]))
         assert extract(swapped, ChannelId.ROBUST_PAIR, 1) == BitSequence((1,))
 
     def test_embed_swaps_whole_pairs(self):
         base = abc_facet()
         quad = tuple(shifted(base, float(i)) for i in range(4))
-        model = StlModel(facets=quad)
+        model = model_from_facets(facets=quad)
         out = embed(model, ChannelId.ROBUST_PAIR, BitSequence((1,)))
         assert out.facets == (quad[2], quad[3], quad[0], quad[1])
 
@@ -319,9 +320,9 @@ class TestRobustPairCodec:
         # canonical forms make the bit immune to rotations and in-pair swaps
         base = abc_facet()
         quad = [shifted(base, float(i)) for i in range(4)]
-        model = StlModel(facets=tuple(quad))
+        model = model_from_facets(facets=tuple(quad))
         bit = extract(model, ChannelId.ROBUST_PAIR, 1)
-        scrambled = StlModel(
+        scrambled = model_from_facets(
             facets=(
                 with_vertices(quad[1], (quad[1].v2, quad[1].v3, quad[1].v1)),
                 quad[0],

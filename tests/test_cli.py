@@ -242,6 +242,29 @@ class TestSanitize:
         assert stat.S_IMODE(mesh.stat().st_mode) == mode
         assert stat.S_IMODE(clean.stat().st_mode) == mode
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"]
+    )
+    def test_writes_never_change_the_process_umask(self, umask, mode, tmp_path, monkeypatch):
+        # a file another thread creates during the write must get the
+        # process umask, so the CLI must not set it, even for a moment
+        def umask_changed(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        mesh = tmp_path / "mesh.stl"
+        clean = tmp_path / "clean.stl"
+        old = os.umask(umask)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", umask_changed)
+                assert run_cli(["gen-mesh", "--subdivisions", 0, "-o", mesh]) == 0
+                assert run_cli(["sanitize", mesh, "-o", clean]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(mesh.stat().st_mode) == mode
+        assert stat.S_IMODE(clean.stat().st_mode) == mode
+
     def test_no_partial_output_on_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"solid truncated\n  facet normal 0 0 1\n")

@@ -1,10 +1,14 @@
 """The columnar core against the scalar definitions it replaces.
 
 Each model channel's slots, read and write, and the normal pass, are
-compared with straightforward per-facet code built on `Facet`,
-`geometry_key`, `unit_rhr_normal` and Python's tuple comparison, on models
-with degenerate facets, repeated vertices, -0.0 next to 0.0, and exact ties.
+compared with straightforward per-facet code built on `Facet`, Python's
+tuple comparison, and `geometry_key` and `unit_rhr_normal` from
+`scalar_reference`, on models with degenerate facets, repeated vertices,
+-0.0 next to 0.0, and exact ties.
 """
+import importlib
+import inspect
+import pkgutil
 import random
 from dataclasses import replace
 
@@ -14,7 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_model
-from scalar_reference import max_vertex, with_facets, with_vertices
+from scalar_reference import (
+    geometry_key,
+    is_degenerate,
+    max_vertex,
+    model_from_facets,
+    unit_rhr_normal,
+    vec3,
+    with_facets,
+    with_vertices,
+)
+import stlstego
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -22,12 +36,11 @@ from stlstego import (
     StlFormat,
     StlModel,
     embed,
-    geometry_key,
+    generate_test_mesh,
     parse_bytes,
+    run_trial,
     sanitize_normal_channel,
     serialize,
-    unit_rhr_normal,
-    vec3,
     write_binary,
 )
 from stlstego.channels import CHANNELS
@@ -37,7 +50,7 @@ from stlstego.model import coords, rotate
 
 
 def ref_usable(facets):
-    return [i for i, f in enumerate(facets) if not f.is_degenerate()]
+    return [i for i, f in enumerate(facets) if not is_degenerate(f)]
 
 
 def ref_normal_usable(facets):
@@ -132,7 +145,7 @@ def tie_models(draw):
     pool = draw(st.lists(point, min_size=1, max_size=5))
     pick = st.sampled_from(pool)
     facets = draw(st.lists(st.builds(Facet, pick, pick, pick, point), max_size=24))
-    return StlModel(facets=tuple(facets))
+    return model_from_facets(facets=tuple(facets))
 
 
 def bits_of(model: StlModel) -> bytes:
@@ -168,7 +181,7 @@ def normal_oracle_facets():
             for _ in range(3)
         ]
         f = Facet(v1=coords[0], v2=coords[1], v3=coords[2])
-        if not f.is_degenerate():
+        if not is_degenerate(f):
             e1 = np.subtract(coords[1], coords[0], dtype=np.float64)
             e2 = np.subtract(coords[2], coords[0], dtype=np.float64)
             if np.linalg.norm(np.cross(e1, e2)) > 0:
@@ -189,7 +202,7 @@ def test_normal_pass_is_bit_identical_to_scalar():
         Facet(v1=(0.0, 0.0, 0.0), v2=vec3(1e-30, 0, 0), v3=vec3(0, 1e-30, 0)),  # tiny, not zero
     ]
     facets = normal_oracle_facets() + zero_area + tilted
-    model = StlModel(facets=tuple(facets))
+    model = model_from_facets(facets=tuple(facets))
     expected = [unit_rhr_normal(*f.vertices) or (0.0, 0.0, 0.0) for f in model.facets]
     got = sanitize_normal_channel(model).normals
     assert got.tobytes() == np.array(expected, dtype="<f4").tobytes()
@@ -218,7 +231,7 @@ def test_rotate_matches_the_take_along_axis_gather():
 class TestModelValue:
     def test_facets_view_round_trips(self):
         model = random_model(30, seed=5, attributes=True)
-        again = StlModel(model.solid_name, model.facets, model.source_format)
+        again = model_from_facets(model.solid_name, model.facets, model.source_format)
         assert again == model
         assert again.facets == model.facets
         assert model.with_records(model.records) == model
@@ -232,8 +245,8 @@ class TestModelValue:
         assert parsed.facets == model.facets
 
     def test_signed_zero_compares_and_hashes_equal(self):
-        plus = StlModel(facets=(Facet((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),))
-        minus = StlModel(facets=(Facet((-0.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.0, 1.0, 0.0)),))
+        plus = model_from_facets(facets=(Facet((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),))
+        minus = model_from_facets(facets=(Facet((-0.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.0, 1.0, 0.0)),))
         assert plus == minus and hash(plus) == hash(minus)
         assert bits_of(plus) != bits_of(minus)
 
@@ -256,8 +269,6 @@ class TestModelValue:
     def test_records_must_match_the_layout(self):
         with pytest.raises(ValueError):
             StlModel(records=np.zeros(3, dtype=np.float32))
-        with pytest.raises(ValueError):
-            StlModel(facets=random_model(1, seed=9).facets, records=random_model(1, seed=9).records)
 
     def test_embed_leaves_the_input_model_alone(self):
         model = random_model(40, seed=10)
@@ -276,14 +287,14 @@ def keyed_model(seed: int) -> StlModel:
     facets[29] = Facet(p, q, q)
     facets[31] = Facet((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, 1.0, 0.0))
     facets[35] = Facet((-0.0, 1.0, 0.0), (0.0, -0.0, 0.0), (1.0, 0.0, -0.0))
-    return StlModel(facets=tuple(facets))
+    return model_from_facets(facets=tuple(facets))
 
 
 def assert_cached_arrays_match_scalar(model: StlModel) -> None:
     keys = [np.array(geometry_key(f), dtype="<f4").reshape(9) for f in model.facets]
     # bytes, so that -0.0 and 0.0 count as different
     assert model.geometry_keys.tobytes() == np.array(keys, dtype="<f4").tobytes()
-    assert model.degenerate.tolist() == [f.is_degenerate() for f in model.facets]
+    assert model.degenerate.tolist() == [is_degenerate(f) for f in model.facets]
 
 
 class TestCachedArrays:
@@ -313,3 +324,18 @@ class TestCachedArrays:
         assert reversed_model.geometry_keys is not keys
         assert reversed_model.geometry_keys.tobytes() == keys[::-1].tobytes()
         assert reversed_model.degenerate.tolist() == mask[::-1].tolist()
+
+
+def test_the_package_states_geometry_in_columns_only():
+    scalar = ("f32", "vec3", "Vec3", "unit_rhr_normal", "geometry_key")
+    assert [name for name in scalar if hasattr(stlstego, name)] == []
+    for info in pkgutil.iter_modules(stlstego.__path__):
+        module = importlib.import_module(f"stlstego.{info.name}")
+        assert [n for n in scalar + ("is_degenerate",) if hasattr(module, n)] == [], info.name
+    assert not hasattr(Facet, "is_degenerate")
+    for function, removed in (
+        (StlModel, "facets"),
+        (run_trial, "sanitizer"),
+        (generate_test_mesh, "radius"),
+    ):
+        assert removed not in inspect.signature(function).parameters

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import stats as sps
 from stlstego import (
     BitSequence,
     ChannelId,
+    RandomSource,
     SurvivalMatrix,
     TrialConfig,
     compute_stats,
@@ -16,6 +18,7 @@ from stlstego import (
     generate_test_mesh,
     run_experiment,
     run_trial,
+    sanitize_vertex_channel,
     statistical_gates,
 )
 from stlstego import channels, model
@@ -50,9 +53,11 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 @pytest.mark.parametrize("channel", list(ChannelId))
-def test_noop_sanitizer_keeps_every_bit(channel, small_carrier):
+def test_noop_sanitizer_keeps_every_bit(channel, small_carrier, monkeypatch):
+    noop = dataclasses.replace(channels.CHANNELS[channel], scrub=lambda carrier, rng: carrier)
+    monkeypatch.setitem(channels.CHANNELS, channel, noop)
     cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=40, trials=1, seed=3)
-    outcome = run_trial(cfg, 0, sanitizer=lambda carrier, rng: carrier)
+    outcome = run_trial(cfg, 0)
     assert outcome.survived.all()
 
 
@@ -135,10 +140,13 @@ class TestFacetStats:
     def test_ones_drift_randomized_not_pinned(self, facet_experiment):
         # a codebook keyed on the global 0/1 balance dies with the payload:
         # the count drifts trial to trial instead of staying at zero
-        _, stats = facet_experiment
+        matrix, stats = facet_experiment
         drift = stats.ones_drift_per_trial
         assert len(drift) == 100
-        assert abs(float(drift.mean())) < 10.0
+        # random extraction reads bits/2 ones on average, so the drift is
+        # centred on bits/2 - ones of the payload, not on zero
+        ones, bits = sum(matrix.payload.bits), len(matrix.payload)
+        assert abs(float(drift.mean()) + (ones - bits / 2)) < 10.0
         assert float(drift.std()) > 5.0
 
 
@@ -300,3 +308,27 @@ def test_a_facet_trial_computes_keys_once(keyed_carrier, counted_rotations):
 def test_a_vertex_embed_computes_no_keys(keyed_carrier, counted_rotations):
     channels.embed(keyed_carrier, ChannelId.VERTEX, BitSequence([1, 0] * 32))
     assert -1 not in counted_rotations
+
+
+def test_vertex_trials_reuse_the_carriers_degenerate_mask(keyed_carrier, monkeypatch):
+    calls = []
+    original = model.degenerate
+
+    def counted(vertices):
+        calls.append(len(vertices))
+        return original(vertices)
+
+    monkeypatch.setattr(model, "degenerate", counted)
+    payload = BitSequence([1, 0, 0] * 30)
+    cfg = TrialConfig(channel=ChannelId.VERTEX, carrier=keyed_carrier, payload_bits=90, seed=5)
+    outcomes = [run_trial(cfg, t, payload=payload) for t in range(4)]
+    assert len(calls) == 4  # one per scrubbed model, none for an embedded one
+
+    # the arrangement view equals one read off each embedded model's own slots
+    for t, outcome in enumerate(outcomes):
+        embedded = channels.embed(keyed_carrier, ChannelId.VERTEX, payload)
+        rng = RandomSource.seeded(derive_seed(5, "trial", t))
+        scrubbed = sanitize_vertex_channel(embedded, rng)
+        usable = np.flatnonzero(~original(embedded.vertices))[: len(payload)]
+        same = (embedded.vertices[usable] == scrubbed.vertices[usable]).all(axis=(1, 2))
+        assert outcome.arrangement_unchanged.tolist() == same.tolist()

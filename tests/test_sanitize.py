@@ -9,7 +9,13 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import LUCY_TEXT, random_model, tagged_model, unit_facet
-from scalar_reference import with_facets
+from scalar_reference import (
+    geometry_key,
+    model_from_facets,
+    unit_rhr_normal,
+    vec3,
+    with_facets,
+)
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -17,10 +23,8 @@ from stlstego import (
     RandomSource,
     SanitizeReport,
     StlFormat,
-    StlModel,
     capacity,
     extract,
-    geometry_key,
     parse_bytes,
     sanitize_all,
     sanitize_facet_channel,
@@ -28,11 +32,9 @@ from stlstego import (
     sanitize_normal_channel,
     sanitize_vertex_channel,
     serialize,
-    vec3,
     write_binary,
     write_canonical_ascii,
 )
-from stlstego.model import unit_rhr_normal
 from stlstego import sanitize
 
 
@@ -58,7 +60,7 @@ def oracle_unit_normal(v1, v2, v3):
 
 class TestFacetShuffle:
     def test_single_facet_unchanged(self):
-        model = StlModel(facets=(unit_facet(),))
+        model = model_from_facets(facets=(unit_facet(),))
         assert sanitize_facet_channel(model, RandomSource.seeded(1)) == model
 
     def test_multiset_preserved_exactly(self):
@@ -89,23 +91,23 @@ class TestFacetShuffle:
 class TestVertexRotation:
     def test_rotate_left_semantics(self):
         a, b, c = vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0)
-        model = StlModel(facets=(Facet(v1=a, v2=b, v3=c),))
+        model = model_from_facets(facets=(Facet(v1=a, v2=b, v3=c),))
         out = sanitize_vertex_channel(model, ScriptedRng([0]))
         assert out.facets[0].vertices == (b, c, a)
 
     def test_rotate_right_semantics(self):
         a, b, c = vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0)
-        model = StlModel(facets=(Facet(v1=a, v2=b, v3=c),))
+        model = model_from_facets(facets=(Facet(v1=a, v2=b, v3=c),))
         out = sanitize_vertex_channel(model, ScriptedRng([1]))
         assert out.facets[0].vertices == (c, a, b)
 
     def test_none_keeps_order(self):
-        model = StlModel(facets=(unit_facet(),))
+        model = model_from_facets(facets=(unit_facet(),))
         out = sanitize_vertex_channel(model, ScriptedRng([2]))
         assert out == model
 
     def test_three_states_each_one_third(self):
-        model = StlModel(facets=(unit_facet(),))
+        model = model_from_facets(facets=(unit_facet(),))
         rng = RandomSource.seeded(6)
         counts = Counter()
         for _ in range(9999):
@@ -120,7 +122,7 @@ class TestVertexRotation:
         a, b, c = vec3(0, 0, 0), vec3(1, 0, 0), vec3(0, 1, 0)
         rng = RandomSource.seeded(7)
         for start in ((a, b, c), (b, c, a), (c, a, b)):
-            model = StlModel(facets=(Facet(v1=start[0], v2=start[1], v3=start[2]),))
+            model = model_from_facets(facets=(Facet(v1=start[0], v2=start[1], v3=start[2]),))
             hits = 0
             runs = 3000
             for _ in range(runs):
@@ -141,7 +143,7 @@ class TestVertexRotation:
 class TestNormalRecompute:
     def test_flipped_normal_restored(self):
         f = replace(unit_facet(), normal=(0.0, 0.0, -1.0))
-        out = sanitize_normal_channel(StlModel(facets=(f,)))
+        out = sanitize_normal_channel(model_from_facets(facets=(f,)))
         assert out.facets[0].normal == (0.0, 0.0, 1.0)
 
     def test_idempotent(self):
@@ -151,7 +153,7 @@ class TestNormalRecompute:
 
     def test_degenerate_gets_zero_normal(self):
         collinear = Facet(v1=vec3(0, 0, 0), v2=vec3(1, 0, 0), v3=vec3(2, 0, 0))
-        out = sanitize_normal_channel(StlModel(facets=(collinear,)))
+        out = sanitize_normal_channel(model_from_facets(facets=(collinear,)))
         assert out.facets[0].normal == (0.0, 0.0, 0.0)
 
     def test_attributes_zeroed(self):
@@ -203,7 +205,7 @@ class TestSanitizeAll:
     def test_a_signed_zero_vertex_counts_as_rotated(self):
         # (-0.0, 0, 0) == (0, 0, 0), but rotating the list moves its bytes
         facet = Facet(v1=(-0.0, 0.0, 0.0), v2=(0.0, 0.0, 0.0), v3=(0.0, 0.0, 0.0))
-        data = write_binary(StlModel(facets=(facet,)))
+        data = write_binary(model_from_facets(facets=(facet,)))
         runs = [sanitize_all(data, RandomSource.seeded(seed)) for seed in range(6)]
         assert {report.vertices_rotated for _, report in runs} == {1}
         assert len({out for out, _ in runs}) == 3
@@ -233,7 +235,7 @@ class TestSanitizeAll:
             for v in ((1e20, 1.0000001, 1e20), (0.1, 3e-20, 1.0), (2.0, 1e-30, 1.0))
         )
         assert unit_rhr_normal(v1, v2, v3) is None
-        data = write_binary(StlModel(facets=(Facet(v1=v1, v2=v2, v3=v3),)))
+        data = write_binary(model_from_facets(facets=(Facet(v1=v1, v2=v2, v3=v3),)))
         for seed in range(5):
             out, report = sanitize_all(data, RandomSource.seeded(seed))
             written = parse_bytes(out).facets[0].normal != (0.0, 0.0, 0.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LUCY_TEXT, random_model, slot_texts, unit_facet
+from scalar_reference import is_degenerate, model_from_facets, vec3
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -25,7 +26,6 @@ from stlstego import (
     parse_bytes,
     sanitize_all,
     sanitize_solid_name,
-    vec3,
     write_binary,
     write_canonical_ascii,
 )
@@ -288,7 +288,7 @@ class TestParseBinary:
         model = parse_binary(data)
         assert len(model.facets) == 1
         facet = model.facets[0]
-        assert facet.is_degenerate()
+        assert is_degenerate(facet)
         assert facet.attribute == 0
         assert model.source_format is StlFormat.BINARY
 
@@ -330,7 +330,7 @@ class TestParseBinary:
 
 class TestCanonicalWriter:
     def test_unit_facet_lines(self):
-        model = StlModel(solid_name="t", facets=(unit_facet(),))
+        model = model_from_facets("t", (unit_facet(),))
         text = write_canonical_ascii(model)
         assert "  facet normal 0 0 1\n" in text
         assert "      vertex 0 0 0\n" in text
@@ -351,14 +351,14 @@ class TestCanonicalWriter:
         )
 
     def test_solid_name_normalized(self):
-        model = StlModel(solid_name="my part (v2)!", facets=())
+        model = StlModel(solid_name="my part (v2)!")
         text = write_canonical_ascii(model)
         assert text.splitlines()[0] == "solid my_part_v2"
 
     def test_negative_zero_collapses(self):
         f = unit_facet()
         flipped = Facet(v1=f.v1, v2=f.v2, v3=f.v3, normal=(-0.0, 0.0, 1.0))
-        text = write_canonical_ascii(StlModel(facets=(flipped,)))
+        text = write_canonical_ascii(model_from_facets(facets=(flipped,)))
         assert "facet normal 0 0 1" in text
 
 
@@ -401,8 +401,8 @@ facet_st = st.builds(
     attribute=st.integers(min_value=0, max_value=0xFFFF),
 )
 model_st = st.builds(
-    StlModel,
-    solid_name=st.text(alphabet="abcXYZ09_-", max_size=10),
+    model_from_facets,
+    name=st.text(alphabet="abcXYZ09_-", max_size=10),
     facets=st.lists(facet_st, max_size=8).map(tuple),
 )
 
@@ -456,7 +456,7 @@ class TestOncePerDistinctValue:
 
         facets = random_model(6, seed=31).facets
         signed = Facet(v1=(-0.0, 1.0, 0.0), v2=(0.0, -1.0, 0.0), v3=(1.0, 0.0, -0.0))
-        model = StlModel(solid_name="w", facets=facets + facets[:2] + (signed,))
+        model = model_from_facets("w", facets + facets[:2] + (signed,))
         distinct = {c for f in model.facets for v in (f.normal, *f.vertices) for c in v}
         calls = []
         original = stl_io.format_standard
