@@ -34,7 +34,7 @@ import numpy as np
 
 from .bits import BitSequence
 from .errors import CapacityExceededError, ChannelUnavailableError
-from .floatfmt import format_scientific, format_standard, parse_float32
+from .floatfmt import format_scientific, format_standard, spell_float32s
 from .model import (
     StlFormat,
     StlModel,
@@ -151,10 +151,6 @@ def _write_normal(model: StlModel, indices, bits) -> StlModel:
     return model.with_records(records)
 
 
-def _is_scientific(token: str) -> bool:
-    return "e" in token or "E" in token
-
-
 def _read_number(doc: RawAsciiDocument, spans) -> np.ndarray:
     return doc.spans_holding(spans, "eE")
 
@@ -162,20 +158,20 @@ def _read_number(doc: RawAsciiDocument, spans) -> np.ndarray:
 def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     """Bit 0 spells a token in standard notation, bit 1 in scientific.
 
-    Tokens already in the requested notation are left untouched; rewritten
-    tokens keep their single-precision value exactly. Each distinct token
-    is re-spelled once.
+    Tokens already in the requested notation are left untouched. A
+    rewritten token spells the value the model holds for its slot, number
+    slot k being coordinate k of the records, so it keeps its
+    single-precision value exactly and no token is parsed. Each distinct
+    value is spelled once per notation.
     """
-    changed = np.flatnonzero(_read_number(doc, spans) != _bits(bits))
-    text, tokens = doc.text, []
-    respelled = {}  # a token only ever turns into the other notation
-    for begin, end in spans[changed].tolist():
-        token = text[begin:end]
-        if token not in respelled:
-            spell = format_standard if _is_scientific(token) else format_scientific
-            respelled[token] = spell(parse_float32(token))
-        tokens.append(respelled[token])
-    return doc.with_number_tokens(changed, tokens)
+    bits = _bits(bits)
+    changed = np.flatnonzero(_read_number(doc, spans) != bits)
+    values = coords(doc.model.records).reshape(-1)[changed]
+    scientific = bits[changed]
+    tokens = np.empty(len(changed), dtype=object)
+    tokens[scientific] = spell_float32s(values[scientific], format_scientific)
+    tokens[~scientific] = spell_float32s(values[~scientific], format_standard)
+    return doc.with_number_tokens(changed, tokens.tolist())
 
 
 def _read_whitespace(doc: RawAsciiDocument, spans) -> np.ndarray:

@@ -1,15 +1,18 @@
-"""Shortest round-trip decimal spellings for single-precision values.
+"""Conversions between number tokens and single-precision values.
 
-One fixed algorithm produces one spelling per value, so equal models always
-serialize to identical bytes and re-saving a file is a deterministic
+This module alone converts, a whole list at a time and each distinct
+token or value once: parse_float32s reads tokens and spell_float32s spells
+values. One fixed algorithm produces one spelling per value, so equal models
+always serialize to identical bytes and re-saving a file is a deterministic
 normalization of its number notation.
 """
 from __future__ import annotations
 
 import math
 import re
-import struct
+from collections import defaultdict
 from decimal import Decimal
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -19,10 +22,6 @@ from .errors import StlParseError
 # no inf/nan, no digit-group underscores, no hex floats.
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NUMBER_EXACT = re.compile(NUMBER_RE.pattern + r"\Z")
-_F32_MAX = float(np.finfo(np.float32).max)
-# packing a double as "f" rounds it to single precision, ties to even, and
-# raises OverflowError when that gives infinity
-_F32 = struct.Struct("f")
 
 
 def is_number_token(token: str) -> bool:
@@ -30,45 +29,56 @@ def is_number_token(token: str) -> bool:
 
 
 def parse_float32(token: str, line: int | None = None) -> float:
-    """Convert a numeric token to the nearest finite single-precision value.
+    """parse_float32s of one token on a given line, as a float."""
+    return float(parse_float32s([token], [line])[0])
 
-    The token is read as a double first. Rounding that double to single
+
+def parse_float32s(tokens: list[str], lines=None) -> np.ndarray:
+    """Convert a list of numeric tokens to the nearest finite
+    single-precision values, as a float32 array, each distinct token once.
+
+    Each token is read as a double first. Rounding that double to single
     precision gives the nearest value unless the double sits exactly on a
     single-precision midpoint: the first rounding may have moved the token
     there, so only then is the tie decided on the exact decimal (Clinger,
     "How to Read Floating Point Numbers Accurately", PLDI 1990).
+
+    The first token in order that is not a number or is out of range
+    raises its StlParseError, with lines[i] as the line of tokens[i].
     """
-    if not is_number_token(token):
-        raise StlParseError(f"not a number: {token!r}", line)
-    wide = float(token)
-    try:
-        (value,) = _F32.unpack(_F32.pack(wide))
-    except OverflowError:  # a finite double that rounds to infinity
-        value = math.copysign(math.inf, wide)
-    if value != wide:
-        value = _settle_midpoint(token, wide, value)
-    if not abs(value) <= _F32_MAX:
-        raise StlParseError(f"out of single-precision range: {token!r}", line)
-    return value
+    ids = defaultdict(count().__next__)  # a new token gets the next id
+    which = np.fromiter(map(ids.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+    distinct = list(ids)
+    wide = np.fromiter(map(float, takewhile(_NUMBER_EXACT.match, distinct)), dtype=np.float64)
+    # a finite double may round to infinity, and 1e999 reads as one
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = wide.astype(np.float32)
+        # half a single-precision ulp at wide is 2**-shift; below the normal
+        # range the spacing stays that of the subnormals, 2**-149
+        shift = 25 - np.maximum(np.frexp(wide)[1], -125)
+        for i in np.flatnonzero(np.ldexp(wide, shift) % 2 == 1).tolist():
+            midpoint = wide[i].item()
+            # Decimal compares exactly and, unlike int(str), has no digit limit
+            exact, tie = Decimal(distinct[i]), Decimal(midpoint)
+            if exact != tie:  # an exact tie keeps the even value
+                side = math.ldexp(1.0 if exact > tie else -1.0, -shift[i].item())
+                # copysign keeps -0.0 when a negative value rounds up to zero
+                values[i] = math.copysign(midpoint + side, midpoint)
+    bad = np.flatnonzero(np.isinf(values))
+    first = bad[0].item() if len(bad) else len(values)
+    if first < len(distinct):
+        token = distinct[first]
+        kind = "out of single-precision range" if first < len(values) else "not a number"
+        raise StlParseError(f"{kind}: {token!r}", None if lines is None else lines[tokens.index(token)])
+    return values[which]
 
 
-def _settle_midpoint(token: str, wide: float, value: float) -> float:
-    """`value` is `wide` rounded to single precision, ties to even. If `wide`
-    is halfway between two single-precision values, return the one on the
-    side of the exact decimal, or `value` on an exact tie."""
-    _, exp = math.frexp(wide)
-    # half a single-precision ulp at wide is 2**-shift; below the normal
-    # range the spacing stays that of the subnormals, 2**-149
-    shift = 25 - max(exp, -125)
-    if math.ldexp(wide, shift) % 2 != 1:
-        return value
-    # Decimal compares exactly and, unlike int(str), has no digit limit
-    exact, tie = Decimal(token), Decimal(wide)
-    if exact == tie:
-        return value
-    half_ulp = math.ldexp(1.0, -shift)
-    # copysign keeps -0.0 when a negative value rounds up to zero
-    return math.copysign(wide + half_ulp if exact > tie else wide - half_ulp, wide)
+def spell_float32s(values: np.ndarray, spell) -> list[str]:
+    """spell(v) of each value of an array, flattened, calling spell once
+    per distinct value (-0.0 and 0.0 are one)."""
+    distinct, which = np.unique(values, return_inverse=True)
+    spelled = np.array([spell(v) for v in distinct.tolist()], dtype=object)
+    return spelled[which.reshape(-1)].tolist()
 
 
 def format_standard(value: float) -> str:

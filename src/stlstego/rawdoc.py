@@ -26,8 +26,9 @@ strings are spliced into the text and both span arrays shift by the
 running change in length; changed numbers also update the model, bit for
 bit as a re-read would. A replacement that could change what the scanner
 reads falls back to reading the whole new text, so its error names the
-line: a number token parse_float32 rejects, or an indent that is not a
-non-empty run of spaces and tabs.
+line: a number token parse_float32s rejects, or an indent that is not a
+non-empty run of spaces and tabs. The new number tokens are converted in
+one parse_float32s call.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import re
 import numpy as np
 
 from .errors import StlParseError
-from .floatfmt import parse_float32
+from .floatfmt import parse_float32s
 from .model import StlModel, coords
 from .stl_io import _FACET_GRAMMAR, _HEAD, _last_line_start, parse_ascii
 
@@ -131,18 +132,6 @@ def _shifted(spans: np.ndarray, ends: np.ndarray, shift: np.ndarray) -> np.ndarr
     return out
 
 
-def _number_values(tokens) -> list[float] | None:
-    """parse_float32 of each token, or None if it rejects one."""
-    values = {}
-    for token in tokens:
-        if token not in values:
-            try:
-                values[token] = parse_float32(token)
-            except StlParseError:
-                return None
-    return [values[token] for token in tokens]
-
-
 def _is_indent(run: str) -> bool:
     return run != "" and not run.strip(" \t")
 
@@ -214,20 +203,18 @@ class RawAsciiDocument:
         parts.append(text[last:])
         text = "".join(parts)
         del parts  # free the pieces before a new text is read
-        if numbers:
-            values = _number_values(new)
-            valid = values is not None
-        else:
-            valid = all(map(_is_indent, new))
-        if not valid:
-            return RawAsciiDocument(text)
-
         model = self._model
         if numbers:
+            try:
+                values = parse_float32s(new)
+            except StlParseError:
+                return RawAsciiDocument(text)
             records = model.records.copy()
             facet, slot = np.divmod(slots, 12)
-            coords(records)[facet, slot // 3, slot % 3] = np.array(values, dtype=np.float32)
+            coords(records)[facet, slot // 3, slot % 3] = values
             model = model.with_records(records)
+        elif not all(map(_is_indent, new)):
+            return RawAsciiDocument(text)
         number_spans, indent_spans = self._number_spans, self._indent_spans
         delta = np.fromiter(map(len, new), dtype=np.int64, count=len(new))
         delta -= where[:, 1] - where[:, 0]

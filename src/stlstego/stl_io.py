@@ -21,7 +21,7 @@ from itertools import count
 import numpy as np
 
 from .errors import StlParseError, StlStegoError, UnrecognizedFormatError
-from .floatfmt import format_standard, parse_float32
+from .floatfmt import format_standard, parse_float32s, spell_float32s
 from .model import RECORD_DTYPE, StlFormat, StlModel, coords
 
 _NAME_CHARSET = re.compile(r"[^A-Za-z0-9_-]+")
@@ -146,10 +146,11 @@ def parse_ascii(text: str) -> StlModel:
     to the nearest single-precision value. Multi-solid files are rejected.
 
     One compiled pattern matches a whole facet, from `facet normal` to
-    `endfacet`, and captures its 12 number tokens; each distinct token is
-    parsed once. A text the scanner rejects is walked statement by
-    statement (`ascii_statements`) only to raise the StlParseError that
-    names the offending line. Scanner and walker read their facet
+    `endfacet`, and captures its 12 number tokens; the distinct tokens are
+    converted in one call. A text the scanner rejects is walked statement
+    by statement (`ascii_statements`) only to raise the StlParseError that
+    names the offending line: the first broken statement's or, if it comes
+    first, the first bad number's. Scanner and walker read their facet
     statements from one table, _FACET_GRAMMAR, and accept the same
     language, which a differential fuzz in tests/test_stl_io.py pins.
     `RawAsciiDocument` reads the positions of the tokens off the text the
@@ -178,7 +179,7 @@ def _scan_facets(text: str) -> StlModel | None:
     if tail is None or _NON_SPACE.search(text, tail.end()) is not None:
         return None
     try:
-        values = np.fromiter(map(parse_float32, ids), dtype=np.float32, count=len(ids))
+        values = parse_float32s(list(ids))
     except StlParseError:
         return None
     records = np.zeros(len(numbers) // 12, dtype=RECORD_DTYPE)
@@ -188,7 +189,19 @@ def _scan_facets(text: str) -> StlModel | None:
 
 def _explain_rejection(text: str) -> None:
     """Walk the statements of a text and raise the StlParseError of the
-    first one that breaks the grammar, with its line number."""
+    first one that breaks the grammar or holds a bad number, with its line
+    number."""
+    first = {}  # the line each number token first appears on, in file order
+    try:
+        _walk_statements(text, first)
+    finally:
+        # the numbers all precede a grammar error's line, so a bad one wins
+        parse_float32s(list(first), list(first.values()))
+
+
+def _walk_statements(text: str, first: dict) -> None:
+    """Raise the StlParseError of the first statement that breaks the
+    grammar; record each number token's first line in first."""
     stmts = ascii_statements(text)
 
     def next_stmt(context: str):
@@ -198,8 +211,6 @@ def _explain_rejection(text: str) -> None:
                 f"unexpected end of input, expected {context}", text.count("\n") + 1
             )
         return stmt
-
-    checked = set()  # a repeated bad token is reported at its first line
 
     no, _, _, tokens = next_stmt("'solid'")
     if tokens[0] != "solid":
@@ -218,9 +229,7 @@ def _explain_rejection(text: str) -> None:
             if tokens[: len(words)] != words or len(tokens) != len(words) + numbers:
                 raise StlParseError(message, no)
             for token in tokens[len(words):]:
-                if token not in checked:
-                    parse_float32(token, no)
-                    checked.add(token)
+                first.setdefault(token, no)
 
     extra = next(stmts, None)
     if extra is not None:
@@ -283,10 +292,7 @@ def write_canonical_ascii(model: StlModel) -> str:
     formatted once.
     """
     name = sanitize_solid_name(model.solid_name)
-    distinct, which = np.unique(coords(model.records), return_inverse=True)
-    spelled = np.array([format_standard(v) for v in distinct.tolist()], dtype=object)
-    tokens = spelled[which.reshape(-1)].tolist()
-    del which  # free the index before the facet strings exist
+    tokens = spell_float32s(coords(model.records), format_standard)
     head, tail = (f"solid {name}\n", f"endsolid {name}\n") if name else ("solid\n", "endsolid\n")
     return "".join([head, *map(_FACET_TEMPLATE.__mod__, zip(*[iter(tokens)] * 12)), tail])
 

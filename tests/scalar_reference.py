@@ -4,18 +4,23 @@ The per-facet geometry the package states in columns: float32 rounding,
 the unit right-hand-rule normal, the rotation-invariant geometry key and
 the degeneracy test, spelled out on `Facet` values and Python tuple
 comparison. Also facet comparison and canonical rotation, the helpers the
-tests build models with, and MSB-first bit packing byte by byte. The
-package works on whole columns instead (`stlstego.model`,
-`stlstego.bits`); these are the scalar statements it is checked against.
+tests build models with, MSB-first bit packing byte by byte, and the
+float32 nearest a number token in exact rational arithmetic. The package
+works on whole columns instead (`stlstego.model`, `stlstego.bits`,
+`stlstego.floatfmt`); these are the scalar statements it is checked
+against.
 """
 import enum
 import math
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 
 from stlstego import Facet, StlFormat, StlModel
-from stlstego.errors import StlStegoError
+from stlstego.errors import StlParseError, StlStegoError
+from stlstego.floatfmt import is_number_token
 from stlstego.model import RECORD_DTYPE
 
 Vec3 = tuple[float, float, float]
@@ -141,3 +146,25 @@ def pack_bits(bits) -> bytes:
             byte = (byte << 1) | b
         out.append(byte << (8 - len(chunk)))
     return bytes(out)
+
+
+def nearest_float32(token: str, line: int | None = None) -> float:
+    """The float32 nearest the exact value of a number token, ties to even,
+    found in rational arithmetic with no double in between. Raises the
+    StlParseError parse_float32 raises for a token that is not a number or
+    rounds past the largest finite float32."""
+    if not is_number_token(token):
+        raise StlParseError(f"not a number: {token!r}", line)
+    decimal = Decimal(token)
+    magnitude = abs(Fraction(decimal))
+    # the float32 spacing at magnitude; below 2**-126 the subnormals' 2**-149
+    exponent = magnitude.numerator.bit_length() - magnitude.denominator.bit_length()
+    if magnitude and Fraction(2) ** exponent > magnitude:
+        exponent -= 1
+    ulp = Fraction(2) ** (max(exponent, -126) - 23)
+    steps, rest = divmod(magnitude, ulp)
+    if 2 * rest > ulp or (2 * rest == ulp and steps % 2):
+        steps += 1
+    if steps * ulp >= 2**128:
+        raise StlParseError(f"out of single-precision range: {token!r}", line)
+    return math.copysign(float(steps * ulp), -1.0 if decimal.is_signed() else 1.0)

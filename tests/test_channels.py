@@ -34,7 +34,7 @@ from stlstego import (
     write_canonical_ascii,
 )
 from stlstego.errors import CapacityExceededError, ChannelUnavailableError
-from stlstego.floatfmt import format_scientific
+from stlstego.floatfmt import format_scientific, format_standard, parse_float32
 
 A = vec3(0, 0, 0)
 B = vec3(1, 0, 0)
@@ -374,21 +374,27 @@ class TestNumberCodec:
 
         doc = RawAsciiDocument(write_canonical_ascii(generate_test_mesh(2)))
         tokens = slot_texts(doc, doc.number_spans)
-        seen = []
-        original = channels.parse_float32
+        seen = {format_standard: [], format_scientific: []}
+        original = channels.spell_float32s
 
-        def counted(token, line=None):
-            seen.append(token)
-            return original(token, line)
+        def counted(values, spell):
+            def spell_counted(value):
+                seen[spell].append(value)
+                return spell(value)
+            return original(values, spell_counted)
 
-        monkeypatch.setattr(channels, "parse_float32", counted)
+        monkeypatch.setattr(channels, "spell_float32s", counted)
         ones = embed(doc, ChannelId.NUMBER, BitSequence([1] * len(tokens)))
-        assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
+        values = [parse_float32(t) for t in tokens]
+        # set() holds 0.0 and -0.0 as one value, as the spelling does
+        assert sorted(seen[format_scientific]) == sorted(set(values))
+        assert len(seen[format_scientific]) < len(tokens) and not seen[format_standard]
         respelled = slot_texts(ones, ones.number_spans)
-        assert respelled == [format_scientific(original(t)) for t in tokens]
-        seen.clear()
+        assert respelled == [format_scientific(v) for v in values]
+        seen[format_scientific].clear()
         zeros = embed(ones, ChannelId.NUMBER, BitSequence([0] * len(tokens)))
-        assert sorted(seen) == sorted(set(respelled))
+        assert sorted(seen[format_standard]) == sorted(set(map(parse_float32, respelled)))
+        assert not seen[format_scientific]
         assert zeros.text == doc.text
 
 

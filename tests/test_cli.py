@@ -75,13 +75,13 @@ class TestCapacity:
         doc = RawAsciiDocument(carrier_ascii.read_text())
         tokens = slot_texts(doc, doc.number_spans)
         seen = []
-        original = stl_io.parse_float32
+        original = stl_io.parse_float32s
 
-        def counted(token, line=None):
-            seen.append(token)
-            return original(token, line)
+        def counted(batch, lines=None):
+            seen.extend(batch)
+            return original(batch, lines)
 
-        monkeypatch.setattr(stl_io, "parse_float32", counted)
+        monkeypatch.setattr(stl_io, "parse_float32s", counted)
         assert run_cli(["capacity", carrier_ascii]) == 0
         assert sorted(seen) == sorted(set(tokens))
         assert capsys.readouterr().out == (

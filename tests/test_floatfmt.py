@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scalar_reference import nearest_float32
 from stlstego.errors import StlParseError
 from stlstego.floatfmt import (
     format_scientific,
     format_standard,
     is_number_token,
     parse_float32,
+    parse_float32s,
 )
 
 finite_f32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
@@ -142,3 +144,58 @@ def test_parse_rounds_points_near_a_midpoint_to_the_nearest(bits, offset):
     else:
         nearest = low if exact < midpoint else high
     assert parse_float32(_decimal(exact)) == nearest
+
+
+def _near_midpoints(bits: int) -> list[str]:
+    """Exact decimals of the midpoint between the float32s with bit patterns
+    bits and bits + 1, of points just off it, and of their negations."""
+    low, high = (Fraction(struct.unpack("<f", struct.pack("<I", b))[0]) for b in (bits, bits + 1))
+    midpoint = (low + high) / 2
+    nudge = Fraction(1, 2**300)
+    points = (midpoint, midpoint + nudge, midpoint - nudge)
+    return [_decimal(sign * p) for p in points for sign in (1, -1)]
+
+
+_OVERFLOW_MIDPOINT = Fraction(2**128 - 2**103)
+
+_bulk_token = st.one_of(
+    finite_f32.map(format_standard),
+    finite_f32.map(format_scientific),
+    # normal and subnormal midpoints, and the overflow one
+    st.sampled_from(
+        _near_midpoints(0x3F800000) + _near_midpoints(0x3F800001)
+        + _near_midpoints(0x00000000) + _near_midpoints(0x00000001)
+        + _near_midpoints(0x007FFFFF)
+        + [_decimal(_OVERFLOW_MIDPOINT + d) for d in (0, Fraction(1, 2**60), -Fraction(1, 2**60))]
+    ),
+    st.sampled_from(["-0", "0e0", "1e999", "-1e999", "x", "nan", ""]),
+)
+
+
+def _one_at_a_time(parse, tokens, lines):
+    """The bytes of parse(token, line) of each token as float32, or the
+    message of the first error."""
+    values = []
+    for token, line in zip(tokens, lines):
+        try:
+            values.append(parse(token, line))
+        except StlParseError as error:
+            return str(error)
+    return np.array(values, dtype=np.float32).tobytes()
+
+
+@given(st.lists(_bulk_token, max_size=12))
+def test_bulk_parse_equals_one_at_a_time(tokens):
+    lines = range(10, 10 + len(tokens))
+    try:
+        got = parse_float32s(tokens, lines).tobytes()
+    except StlParseError as error:
+        got = str(error)
+    assert got == _one_at_a_time(parse_float32, tokens, lines)
+    # and equals the exact rational rounding, sign of zero included
+    assert got == _one_at_a_time(nearest_float32, tokens, lines)
+
+
+def test_bulk_parse_of_no_tokens_is_an_empty_float32_array():
+    values = parse_float32s([])
+    assert values.dtype == np.float32 and values.shape == (0,)

@@ -42,10 +42,13 @@ def _lucy_head(lines: int) -> str:
     return "".join(LUCY_TEXT.splitlines(keepends=True)[:lines])
 
 
-def _lucy_line(lineno: int, line: str) -> str:
-    """LUCY_TEXT with its line lineno (1-based) replaced by line."""
+def _lucy_line(lineno: int, line: str, *more) -> str:
+    """LUCY_TEXT with its line lineno (1-based) replaced by line, and so on
+    for each further lineno, line pair in more."""
     lines = LUCY_TEXT.splitlines()
-    lines[lineno - 1] = line
+    changes = (lineno, line, *more)
+    for at, new in zip(changes[::2], changes[1::2]):
+        lines[at - 1] = new
     return "\n".join(lines) + "\n"
 
 
@@ -165,6 +168,15 @@ class TestParseAscii:
             (_lucy_line(12, "      vertex 1 2x 3y"), "line 12: not a number: '2x'"),
             (_lucy_line(13, "      vertex 1 -1e39 3"),
              "line 13: out of single-precision range: '-1e39'"),
+            # the first offence in file order wins, a number's or the grammar's
+            (_lucy_line(4, "      vertex 1 1e39 3", 10, "    outer loop x"),
+             "line 4: out of single-precision range: '1e39'"),
+            (_lucy_line(5, "      vertex 1 2", 12, "      vertex 1 2x 3"),
+             "line 5: expected 'vertex <x> <y> <z>'"),
+            (_lucy_line(5, "      vertex 1e99 2 3", 11, "      vertex 1 x 3"),
+             "line 5: out of single-precision range: '1e99'"),
+            (_lucy_line(5, "      vertex x 2 3", 11, "      vertex 1 1e99 3"),
+             "line 5: not a number: 'x'"),
         ],
     )
     def test_each_rejection_message_and_line(self, text, message):
@@ -433,17 +445,17 @@ class TestOncePerDistinctValue:
         doc = RawAsciiDocument(text)
         tokens = slot_texts(doc, doc.number_spans)
         seen = []
-        original = stl_io.parse_float32
+        original = stl_io.parse_float32s
 
-        def counted(token, line=None):
-            seen.append(token)
-            return original(token, line)
+        def counted(batch, lines=None):
+            seen.extend(batch)
+            return original(batch, lines)
 
-        monkeypatch.setattr(stl_io, "parse_float32", counted)
+        monkeypatch.setattr(stl_io, "parse_float32s", counted)
         model = parse_ascii(text)
         assert sorted(seen) == sorted(set(tokens)) and len(seen) < len(tokens)
         assert [c for f in model.facets for v in (f.normal, *f.vertices) for c in v] == [
-            original(t) for t in tokens
+            parse_float32(t) for t in tokens
         ]
 
     def test_a_repeated_bad_token_reports_its_first_line(self):
