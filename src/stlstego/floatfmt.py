@@ -18,14 +18,10 @@ import numpy as np
 
 from .errors import StlParseError
 
-# Standard or scientific notation. Deliberately narrower than float():
-# no inf/nan, no digit-group underscores, no hex floats.
-NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_NUMBER_EXACT = re.compile(NUMBER_RE.pattern + r"\Z")
-
-
-def is_number_token(token: str) -> bool:
-    return _NUMBER_EXACT.match(token) is not None
+# A whole token in standard or scientific notation, in ASCII digits.
+# Deliberately narrower than float(): no inf/nan, no digit-group
+# underscores, no hex floats, no digits of other scripts.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z")
 
 
 def parse_float32(token: str, line: int | None = None) -> float:
@@ -36,6 +32,10 @@ def parse_float32(token: str, line: int | None = None) -> float:
 def parse_float32s(tokens: list[str], lines=None) -> np.ndarray:
     """Convert a list of numeric tokens to the nearest finite
     single-precision values, as a float32 array, each distinct token once.
+
+    A number token is ASCII: an optional sign, the digits 0-9 with at most
+    one decimal point, and an optional exponent, `e` or `E` then an
+    optional sign and digits.
 
     Each token is read as a double first. Rounding that double to single
     precision gives the nearest value unless the double sits exactly on a
@@ -49,7 +49,7 @@ def parse_float32s(tokens: list[str], lines=None) -> np.ndarray:
     ids = defaultdict(count().__next__)  # a new token gets the next id
     which = np.fromiter(map(ids.__getitem__, tokens), dtype=np.intp, count=len(tokens))
     distinct = list(ids)
-    wide = np.fromiter(map(float, takewhile(_NUMBER_EXACT.match, distinct)), dtype=np.float64)
+    wide = np.fromiter(map(float, takewhile(_NUMBER.match, distinct)), dtype=np.float64)
     # a finite double may round to infinity, and 1e999 reads as one
     with np.errstate(over="ignore", invalid="ignore"):
         values = wide.astype(np.float32)

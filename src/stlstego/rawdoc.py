@@ -9,16 +9,15 @@ file can vary without changing its parsed value, each as a read-only
 - Indent slots: the leading spaces and tabs of each indented non-blank line.
 
 The text is read by `parse_ascii`'s facet scanner, whose model the document
-keeps, so a text parse_ascii rejects raises the same StlParseError. The
-spans are then read off the characters of the accepted text: between the
-`solid` line and the `endsolid` line it holds exactly 21 whitespace-
-separated tokens per facet, so the numbers are tokens 2-4, 8-10, 12-14 and
-16-18 of each facet, and each statement's first token ends its line's
-indent, or the first whitespace in it other than a space or tab does. The
-scan runs over chunks of whole facets. A character that is not ASCII,
-which only text given through the Python API holds, is read as an ASCII
-stand-in of its kind, so offsets count code points. The `solid` and
-`endsolid` lines' indents are matched by a regex.
+keeps, so a text parse_ascii rejects, one that is not ASCII among them,
+raises the same StlParseError. The spans are then read off the characters
+of the accepted text: between the `solid` line and the `endsolid` line it
+holds exactly 21 whitespace-separated tokens per facet, so the numbers are
+tokens 2-4, 8-10, 12-14 and 16-18 of each facet, and each statement's first
+token ends its line's indent, or the first whitespace in it other than a
+space or tab does. The scan runs over chunks of whole facets, one byte per
+character, as the accepted text is ASCII. The `solid` and `endsolid`
+lines' indents are matched by a regex.
 
 A rewrite names the slots it changes, in ascending order, and the new
 string of each; a rewrite of no slots returns the document itself. The
@@ -27,8 +26,9 @@ running change in length; changed numbers also update the model, bit for
 bit as a re-read would. A replacement that could change what the scanner
 reads falls back to reading the whole new text, so its error names the
 line: a number token parse_float32s rejects, or an indent that is not a
-non-empty run of spaces and tabs. The new number tokens are converted in
-one parse_float32s call.
+non-empty run of spaces and tabs. Both take in every replacement that is
+not ASCII, which the read then rejects. The new number tokens are
+converted in one parse_float32s call.
 """
 from __future__ import annotations
 
@@ -61,22 +61,9 @@ _COLUMNS, _NUMBER_COLUMNS, _STATEMENT_COLUMNS = _facet_columns()
 _CHUNK = 1 << 18  # characters scanned at once, extended to the next facet end
 
 
-class _AsciiStandIns(dict):
-    """str.translate table: an ASCII character to itself, any other to
-    \\x0b if it is whitespace and to x otherwise."""
-
-    def __missing__(self, code: int) -> str:
-        char = chr(code)
-        self[code] = stand_in = char if code < 128 else "\x0b" if char.isspace() else "x"
-        return stand_in
-
-
 def _units(text: str, lo: int, hi: int) -> np.ndarray:
-    """text[lo:hi] as one uint8 per character (see _AsciiStandIns)."""
-    chunk = text[lo:hi]
-    if not chunk.isascii():
-        chunk = chunk.translate(_AsciiStandIns())
-    return np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    """text[lo:hi], which is ASCII, as one uint8 per character."""
+    return np.frombuffer(text[lo:hi].encode("ascii"), dtype=np.uint8)
 
 
 def _regex_indents(text: str, lo: int, hi: int) -> np.ndarray:

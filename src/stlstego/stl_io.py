@@ -136,6 +136,7 @@ _FACET = re.compile("".join(
 ))
 _TAIL = re.compile(_NEXT + r"endsolid(?!\S)[^\n]*")
 _NON_SPACE = re.compile(r"\S")
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
 
 
 def parse_ascii(text: str) -> StlModel:
@@ -144,6 +145,9 @@ def parse_ascii(text: str) -> StlModel:
     Statements are line-oriented with arbitrary intra-line whitespace.
     Numeric tokens accept standard and scientific notation and are rounded
     to the nearest single-precision value. Multi-solid files are rejected.
+    The text must be ASCII, as bytes must be to be read as text at all:
+    any other character is rejected, at the line of the first one, before
+    the grammar is checked.
 
     One compiled pattern matches a whole facet, from `facet normal` to
     `endfacet`, and captures its 12 number tokens; the distinct tokens are
@@ -165,7 +169,7 @@ def parse_ascii(text: str) -> StlModel:
 
 def _scan_facets(text: str) -> StlModel | None:
     """The model of a text the facet scanner accepts, or None."""
-    head = _HEAD.match(text)
+    head = _HEAD.match(text) if text.isascii() else None
     if head is None:
         return None
     ids = defaultdict(count().__next__)  # a new token gets the next id
@@ -188,9 +192,13 @@ def _scan_facets(text: str) -> StlModel | None:
 
 
 def _explain_rejection(text: str) -> None:
-    """Walk the statements of a text and raise the StlParseError of the
-    first one that breaks the grammar or holds a bad number, with its line
-    number."""
+    """Raise the StlParseError of the first character of a text that is not
+    ASCII; else walk the statements and raise that of the first one that
+    breaks the grammar or holds a bad number, with its line number."""
+    odd = _NON_ASCII.search(text)
+    if odd is not None:
+        line = text.count("\n", 0, odd.start()) + 1
+        raise StlParseError(f"not an ASCII character: {odd[0]!r}", line)
     first = {}  # the line each number token first appears on, in file order
     try:
         _walk_statements(text, first)

@@ -4,11 +4,11 @@ The per-facet geometry the package states in columns: float32 rounding,
 the unit right-hand-rule normal, the rotation-invariant geometry key and
 the degeneracy test, spelled out on `Facet` values and Python tuple
 comparison. Also facet comparison and canonical rotation, the helpers the
-tests build models with, MSB-first bit packing byte by byte, and the
-float32 nearest a number token in exact rational arithmetic. The package
-works on whole columns instead (`stlstego.model`, `stlstego.bits`,
-`stlstego.floatfmt`); these are the scalar statements it is checked
-against.
+tests build models with, MSB-first bit packing byte by byte, the number
+token grammar character by character, and the float32 nearest a number
+token in exact rational arithmetic. The package works on whole columns
+instead (`stlstego.model`, `stlstego.bits`, `stlstego.floatfmt`); these
+are the scalar statements it is checked against.
 """
 import enum
 import math
@@ -20,7 +20,6 @@ import numpy as np
 
 from stlstego import Facet, StlFormat, StlModel
 from stlstego.errors import StlParseError, StlStegoError
-from stlstego.floatfmt import is_number_token
 from stlstego.model import RECORD_DTYPE
 
 Vec3 = tuple[float, float, float]
@@ -146,6 +145,27 @@ def pack_bits(bits) -> bytes:
             byte = (byte << 1) | b
         out.append(byte << (8 - len(chunk)))
     return bytes(out)
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def _unsigned(part: str) -> str:
+    return part[1:] if part[:1] in ("+", "-") else part
+
+
+def is_number_token(token: str) -> bool:
+    """Whether a token is a number of the ASCII grammar: an optional sign,
+    ASCII digits with at most one decimal point and at least one digit,
+    then optionally e or E, an optional sign and at least one digit."""
+    mantissa, marker, exponent = token.replace("E", "e").partition("e")
+    whole, _, fraction = _unsigned(mantissa).partition(".")
+    exponent = _unsigned(exponent)
+    return (
+        bool(whole or fraction)
+        and set(whole + fraction) <= _DIGITS
+        and (not marker or bool(exponent) and set(exponent) <= _DIGITS)
+    )
 
 
 def nearest_float32(token: str, line: int | None = None) -> float:

@@ -265,6 +265,21 @@ class TestSanitize:
         assert stat.S_IMODE(mesh.stat().st_mode) == mode
         assert stat.S_IMODE(clean.stat().st_mode) == mode
 
+    def test_a_failed_replace_leaves_the_target_and_no_temporary(
+        self, carrier_ascii, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "clean.stl"
+        out.write_bytes(b"earlier output")
+
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError, match="cannot replace"):
+            run_cli(["sanitize", carrier_ascii, "-o", out])
+        assert out.read_bytes() == b"earlier output"
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_no_partial_output_on_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"solid truncated\n  facet normal 0 0 1\n")

@@ -101,6 +101,15 @@ def test_validation_rejects_bad_configs(small_carrier):
         TrialConfig(ChannelId.FACET, small_carrier, payload_bits=10_000).validate()
 
 
+def test_an_unseeded_experiment_draws_a_fresh_payload(small_carrier):
+    cfg = TrialConfig(channel=ChannelId.FACET, carrier=small_carrier, payload_bits=64, trials=2)
+    first, stats = run_experiment(cfg)
+    second, _ = run_experiment(cfg)
+    assert first.cells.shape == second.cells.shape == (2, 64)
+    assert 0 <= stats.mean_pct <= 100
+    assert first.payload != second.payload  # equal with probability 2**-64
+
+
 def test_degenerate_empty_experiment(small_carrier):
     cfg = TrialConfig(channel=ChannelId.FACET, carrier=small_carrier, payload_bits=0, trials=1, seed=1)
     matrix, stats = run_experiment(cfg)

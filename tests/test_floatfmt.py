@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scalar_reference import nearest_float32
+from scalar_reference import is_number_token, nearest_float32
 from stlstego.errors import StlParseError
 from stlstego.floatfmt import (
     format_scientific,
     format_standard,
-    is_number_token,
     parse_float32,
     parse_float32s,
 )
@@ -29,6 +28,14 @@ def test_parse_rounds_to_single_precision():
 def test_parse_rejects_non_grammar_tokens(token):
     with pytest.raises(StlParseError):
         parse_float32(token)
+
+
+@pytest.mark.parametrize("token", ["\u0663", "\uff11", "1\u0663", "1e\u0663", "\u0663.5"])
+def test_parse_rejects_digits_of_other_scripts(token):
+    with pytest.raises(StlParseError) as raised:
+        parse_float32s(["1", token], [4, 7])
+    assert str(raised.value) == f"line 7: not a number: {token!r}"
+    assert not is_number_token(token)
 
 
 def test_parse_rejects_single_precision_overflow():

@@ -188,7 +188,7 @@ def _carrier_text(subdivisions: int, style: str) -> str:
 
 
 @pytest.mark.parametrize("subdivisions", [2, 4])
-@pytest.mark.parametrize("style", ["crlf", "tabs", "mixed", "non-ascii-name"])
+@pytest.mark.parametrize("style", ["crlf", "tabs", "mixed"])
 def test_splices_equal_a_fresh_read(subdivisions, style):
     doc = RawAsciiDocument(_carrier_text(subdivisions, style))
     rng = random.Random(f"{style}/{subdivisions}")
@@ -198,6 +198,27 @@ def test_splices_equal_a_fresh_read(subdivisions, style):
         doc = embed(doc, channel, payload)
         _assert_same_as_a_fresh_read(doc)
         assert extract(doc, channel, len(payload)) == payload
+
+
+@pytest.mark.parametrize("subdivisions", [2, 4])
+def test_a_non_ascii_carrier_is_rejected_at_its_first_such_character(subdivisions):
+    text = _carrier_text(subdivisions, "non-ascii-name")
+    with pytest.raises(StlParseError) as raised:
+        RawAsciiDocument(text)
+    assert str(raised.value) == "line 1: not an ASCII character: '\xe9'"
+    # with an ASCII name, the first is the U+3000 indent of line 3
+    text = text.replace("caf\u00e9", "cafe").replace(" \u2028", "")
+    with pytest.raises(StlParseError) as raised:
+        RawAsciiDocument(text)
+    assert str(raised.value) == "line 3: not an ASCII character: '\\u3000'"
+
+
+def test_non_ascii_replacements_are_rejected_at_their_line():
+    doc = RawAsciiDocument(LUCY_TEXT)
+    for rewrite, piece in ((doc.with_number_tokens, "\u0663"), (doc.with_indent_runs, "\u3000")):
+        with pytest.raises(StlParseError) as raised:
+            rewrite([0], [piece])
+        assert str(raised.value) == f"line 2: not an ASCII character: {piece!r}"
 
 
 def test_respelling_negative_zero_flips_its_sign_bit():
@@ -253,7 +274,7 @@ def test_mixed_indents_become_runs_of_one_character():
 
 @pytest.mark.parametrize("chunk", [1, 97, 4096])
 def test_spans_do_not_depend_on_the_chunk_size(chunk, monkeypatch):
-    texts = [_carrier_text(2, style) for style in ("crlf", "tabs", "mixed", "non-ascii-name")]
+    texts = [_carrier_text(2, style) for style in ("crlf", "tabs", "mixed")]
     expected = [RawAsciiDocument(text) for text in texts]
     monkeypatch.setattr(rawdoc, "_CHUNK", chunk)
     for text, want in zip(texts, expected):

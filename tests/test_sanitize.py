@@ -181,6 +181,15 @@ class TestSanitizeAll:
         assert report.attributes_zeroed == 0
         assert report.format_written is StlFormat.ASCII
 
+    def test_the_default_randomness_is_fresh_on_each_run(self):
+        data = write_binary(random_model(40, seed=12, attributes=True))
+        first, _ = sanitize_all(data)
+        second, _ = sanitize_all(data)
+        assert first != second  # equal only if both draw the same one of 40! orders
+        assert sorted(parse_bytes(first).geometry_keys.tolist()) == sorted(
+            parse_bytes(second).geometry_keys.tolist()
+        )
+
     def test_geometry_preserved_and_idempotent(self):
         model = random_model(40, seed=12, attributes=True)
         data = write_binary(model)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import LUCY_TEXT, random_model, slot_texts, unit_facet
-from scalar_reference import is_degenerate, model_from_facets, vec3
+from scalar_reference import is_degenerate, is_number_token, model_from_facets, vec3
 from stlstego import (
     BitSequence,
     ChannelId,
@@ -32,7 +32,7 @@ from stlstego import (
 from stlstego import stl_io
 from stlstego.channels import load_carrier
 from stlstego.errors import StlParseError, UnrecognizedFormatError
-from stlstego.floatfmt import is_number_token, parse_float32
+from stlstego.floatfmt import parse_float32
 from stlstego.model import coords
 from stlstego.stl_io import ascii_statements
 
@@ -185,6 +185,29 @@ class TestParseAscii:
                 reader(text)
             assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (_lucy_line(1, "solid caf\u00e9"), "line 1: not an ASCII character: '\xe9'"),
+            # the encoding is checked before the grammar and the numbers
+            (_lucy_line(2, "  facet normal 0 0", 4, "      vertex -13.101\u20280.527998 52.206"),
+             "line 4: not an ASCII character: '\\u2028'"),
+            (_lucy_line(3, "    outer loop x", 10, "\u3000  outer loop"),
+             "line 10: not an ASCII character: '\\u3000'"),
+            (_lucy_line(4, "      vertex 1e99 2 3", 5, "      vertex 1 2", 9,
+                        "  facet normal \u0663 0 0"),
+             "line 9: not an ASCII character: '\u0663'"),
+        ],
+    )
+    def test_non_ascii_text_is_rejected_at_its_first_such_character(self, text, message):
+        for reader in (parse_ascii, RawAsciiDocument):
+            with pytest.raises(StlParseError) as raised:
+                reader(text)
+            assert str(raised.value) == message
+        # as bytes, such a text is not read as text at all
+        with pytest.raises(UnrecognizedFormatError):
+            parse_bytes(text.encode("utf-8"))
+
     def test_memory_stays_a_small_multiple_of_the_input(self):
         text = _stego_text(generate_test_mesh(3), seed=5)
         assert "\t" in text and "\r\n" in text and "e-" in text
@@ -320,6 +343,13 @@ class TestParseBinary:
         assert model.solid_name == "fixture"
         assert model.facets[1].attribute == 0xBEEF
         assert model.facets[1].v1 == (2.0, 0.0, 0.0)
+
+    def test_a_writable_buffer_is_copied(self):
+        model = random_model(5, seed=4, attributes=True)
+        data = bytearray(write_binary(model))
+        parsed = parse_binary(data)
+        data[84:] = bytes(len(data) - 84)
+        assert parsed.records.tobytes() == model.records.tobytes()
 
     def test_length_mismatch(self):
         data = b"\x00" * 80 + struct.pack("<I", 2) + b"\x00" * 50

@@ -1,10 +1,13 @@
-"""Seeded test meshes at the edges of what an STL file can hold.
+"""Seeded test meshes with the features real exports have.
 
 Each generator returns a model and an ASCII rendering of it that parses to
 the model's exact bits. The renderings vary everything the grammar allows
 without changing a value, so a reader or a channel that gets the number
-grammar, the float32 range or the whitespace rules wrong shows it.
+grammar, the float32 range or the whitespace rules wrong shows it. The
+dirty export and CAD-like generators also return binary files of the
+model under the headers exporters write.
 """
+import math
 import random
 import struct
 from decimal import Decimal
@@ -78,7 +81,7 @@ def _blank(rng: random.Random, least: int) -> str:
 def _render(model: StlModel, rng: random.Random) -> str:
     """model as ASCII STL with CRLF line endings, runs of spaces and tabs
     and a random spelling of each number."""
-    lines = ["solid extremes"]
+    lines = [f"solid {model.solid_name}"]
 
     def statement(words, numbers=()):
         tokens = [*words, *(_spelling(v, rng) for v in numbers)]
@@ -92,7 +95,7 @@ def _render(model: StlModel, rng: random.Random) -> str:
             statement(("vertex",), vertex)
         statement(("endloop",))
         statement(("endfacet",))
-    lines.append("endsolid extremes")
+    lines.append(f"endsolid {model.solid_name}")
     return "\r\n".join(lines) + "\r\n"
 
 
@@ -109,3 +112,92 @@ def extremes(seed: int, facets: int = 64) -> tuple[StlModel, str]:
     coords(records)[:, 0] = rhr_normals(coords(records)[:, 1:])[0]
     model = StlModel("extremes", records, StlFormat.ASCII)
     return model, _render(model, rng)
+
+
+def _binary(model: StlModel, header: bytes) -> bytes:
+    return header.ljust(80, b"\x00") + struct.pack("<I", len(model)) + model.records.tobytes()
+
+
+def _coordinate(rng: random.Random) -> float:
+    """A float32 in [-20, 20], or a zero of either sign."""
+    kind = rng.randrange(10)
+    return (-0.0, 0.0)[kind] if kind < 2 else float(np.float32(rng.uniform(-20, 20)))
+
+
+def dirty_export(seed: int, facets: int = 200) -> tuple[StlModel, str, list[bytes]]:
+    """A model as a careless exporter writes it: repeated facets, some
+    rotated; coincident and collinear zero-area slivers; -0.0 coordinates;
+    stored normals that follow the right-hand rule, are zero or are
+    flipped; and nonzero attribute words, as colour-writing exporters set
+    them. Returns the model, its ASCII rendering and three binary files of
+    it, whose headers open with `solid `, hold Materialise-style `COLOR=`
+    and `MATERIAL=` bytes, or hold a name with spaces."""
+    rng = random.Random(seed)
+    triangles = []
+    for _ in range(facets):
+        kind = rng.randrange(10)
+        a, b, c = ([_coordinate(rng) for _ in range(3)] for _ in range(3))
+        if kind == 0 and triangles:  # a repeated facet, maybe rotated
+            a, b, c = rng.choice(triangles)
+            a, b, c = rng.choice(((a, b, c), (b, c, a), (c, a, b)))
+        elif kind == 1:  # a coincident sliver
+            a, b, c = rng.choice(((a, a, b), (a, b, a), (a, a, a)))
+        elif kind == 2:  # a collinear sliver, along an axis
+            axis = rng.randrange(3)
+            b, c = list(a), list(a)
+            b[axis], c[axis] = _coordinate(rng), _coordinate(rng)
+        triangles.append((a, b, c))
+    records = np.zeros(facets, dtype=RECORD_DTYPE)
+    coords(records)[:, 1:] = triangles
+    # right-hand rule, zero (so -0.0 where it was negative) or flipped
+    sign = np.array([rng.choice((1, 0, -1)) for _ in range(facets)], dtype=np.float32)
+    coords(records)[:, 0] = rhr_normals(coords(records)[:, 1:])[0] * sign[:, None]
+    records["attr"] = [rng.choice((0, 0x8000 | rng.randrange(1 << 15), rng.randrange(1 << 16)))
+                       for _ in range(facets)]
+    model = StlModel("part 7 rev-b", records, StlFormat.BINARY)
+    name, colours = model.solid_name.encode("ascii"), bytes(rng.randrange(256) for _ in range(16))
+    headers = (b"solid " + name, b"COLOR=" + colours[:4] + b",MATERIAL=" + colours[4:], name)
+    return model, _render(model, rng), [_binary(model, header) for header in headers]
+
+
+def cad_like(seed: int) -> tuple[StlModel, str, list[bytes]]:
+    """A box and a 24-segment cylinder, every vertex on a 0.5 mm grid, with
+    right-hand-rule normals that point outwards: few distinct values, and
+    axis-aligned normals whose zero components include -0.0. Returns the
+    model, its ASCII rendering and a binary file of it whose header opens
+    with `solid `."""
+    rng = random.Random(seed)
+
+    def grid(lo: float, hi: float) -> float:
+        return rng.randint(int(2 * lo), int(2 * hi)) / 2
+
+    triangles, centres = [], []
+    lo = [grid(-20, 0) for _ in range(3)]
+    hi = [x + grid(1, 20) for x in lo]
+    for axis in range(3):  # two triangles for each face of the box
+        u, v = (axis + 1) % 3, (axis + 2) % 3
+        for side in (lo, hi):
+            corners = []
+            for cu, cv in ((lo, lo), (hi, lo), (hi, hi), (lo, hi)):
+                corner = [0.0] * 3
+                corner[axis], corner[u], corner[v] = side[axis], cu[u], cv[v]
+                corners.append(corner)
+            triangles += [corners[:3], [corners[0], *corners[2:]]]
+    centres += [[(a + b) / 2 for a, b in zip(lo, hi)]] * 12
+    radius, x, y = grid(5, 15), hi[0] + grid(20, 30), grid(-10, 10)
+    bottom, top = grid(-10, 0), grid(1, 20)
+    rim = [[round(2 * (x + radius * math.cos(k * math.pi / 12))) / 2,
+            round(2 * (y + radius * math.sin(k * math.pi / 12))) / 2] for k in range(24)]
+    for p, q in zip(rim, rim[1:] + rim[:1]):  # a cap, bottom and top, and the side
+        triangles += [[[x, y, bottom], p + [bottom], q + [bottom]], [[x, y, top], p + [top], q + [top]],
+                      [p + [bottom], q + [bottom], q + [top]], [p + [bottom], q + [top], p + [top]]]
+    centres += [[x, y, (bottom + top) / 2]] * 96
+    vertices = np.array(triangles, dtype=np.float32)
+    # wind each triangle so that its normal points away from its solid's centre
+    outwards = (rhr_normals(vertices)[0] * (vertices.mean(axis=1) - centres)).sum(axis=1)
+    vertices[outwards < 0] = vertices[outwards < 0][:, [0, 2, 1]]
+    records = np.zeros(len(vertices), dtype=RECORD_DTYPE)
+    coords(records)[:, 1:] = vertices
+    coords(records)[:, 0] = rhr_normals(vertices)[0]
+    model = StlModel("cad_like", records, StlFormat.BINARY)
+    return model, _render(model, rng), [_binary(model, b"solid cad_like".ljust(80))]
