@@ -273,10 +273,10 @@ def load_carrier(data: bytes):
     return read_stl(data, RawAsciiDocument)
 
 
-def _check_capacity(needed: int, available: int) -> None:
+def _check_capacity(channel: ChannelId, needed: int, available: int) -> None:
     if needed > available:
         raise CapacityExceededError(
-            f"payload needs {needed} bits but the channel holds {available}"
+            f"payload needs {needed} bits but the {channel.value} channel holds {available}"
         )
 
 
@@ -294,7 +294,7 @@ def embed(carrier, channel: ChannelId, payload: BitSequence):
     spec = CHANNELS[channel]
     carrier = as_carrier(carrier, channel)
     slots = spec.slots(carrier)
-    _check_capacity(len(payload), len(slots))
+    _check_capacity(channel, len(payload), len(slots))
     return spec.write(carrier, slots[: len(payload)], payload)
 
 
@@ -305,5 +305,5 @@ def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     spec = CHANNELS[channel]
     carrier = as_carrier(carrier, channel)
     slots = spec.slots(carrier)
-    _check_capacity(k, len(slots))
+    _check_capacity(channel, k, len(slots))
     return BitSequence(spec.read(carrier, slots[:k]))

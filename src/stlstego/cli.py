@@ -206,10 +206,7 @@ def _cmd_evaluate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    try:
-        matrix, stats = run_experiment(cfg)
-    except ValueError as exc:  # run_experiment validates cfg first
-        raise CapacityExceededError(str(exc)) from None
+    matrix, stats = run_experiment(cfg)
     out_dir = Path(args.output)
     emit_csv(matrix, stats, out_dir)
     emit_histogram(stats, out_dir / "histogram.svg")
@@ -252,13 +249,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except _UsageError as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"stlstego: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"stlstego: error: {exc}", file=sys.stderr)
-        return 1
-    except (StlParseError, UnrecognizedFormatError, UnicodeDecodeError) as exc:
+    except (StlParseError, UnrecognizedFormatError) as exc:
         print(f"stlstego: error: {exc}", file=sys.stderr)
         return 2
     except (CapacityExceededError, ChannelUnavailableError) as exc:

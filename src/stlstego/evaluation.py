@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bits import BitSequence
-from .channels import CHANNELS, ChannelId, as_carrier, capacity, embed, extract
+from .channels import CHANNELS, ChannelId, as_carrier, embed, extract
 from .model import StlModel
 from .sanitize import RandomSource
 
@@ -51,12 +51,6 @@ class TrialConfig:
             raise ValueError("trials must be >= 1")
         if self.payload_bits < 0:
             raise ValueError("payload_bits must be >= 0")
-        cap = capacity(self.carrier, self.channel)
-        if self.payload_bits > cap:
-            raise ValueError(
-                f"payload_bits {self.payload_bits} exceeds capacity {cap} "
-                f"of the {self.channel.value} channel"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,18 +86,12 @@ class SurvivalStats:
     ones_drift_per_trial: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
 
 
-def _experiment_payload(cfg: TrialConfig) -> BitSequence:
-    if cfg.seed is None:
-        return BitSequence.random(cfg.payload_bits, RandomSource.crypto())
-    return BitSequence.random(
-        cfg.payload_bits, RandomSource.seeded(derive_seed(cfg.seed, "payload"))
-    )
-
-
-def _trial_rng(cfg: TrialConfig, trial_index: int) -> RandomSource:
+def _source(cfg: TrialConfig, *labels) -> RandomSource:
+    """Fresh OS randomness for an unseeded experiment, else the substream
+    that labels name under the experiment's seed."""
     if cfg.seed is None:
         return RandomSource.crypto()
-    return RandomSource.seeded(derive_seed(cfg.seed, "trial", trial_index))
+    return RandomSource.seeded(derive_seed(cfg.seed, *labels))
 
 
 def run_trial(
@@ -117,8 +105,8 @@ def run_trial(
     object for every trial of an experiment.
     """
     if payload is None:
-        payload = _experiment_payload(cfg)
-    rng = _trial_rng(cfg, trial_index)
+        payload = BitSequence.random(cfg.payload_bits, _source(cfg, "payload"))
+    rng = _source(cfg, "trial", trial_index)
 
     embedded = embed(cfg.carrier, cfg.channel, payload)
     scrubbed = CHANNELS[cfg.channel].scrub(embedded, rng)
@@ -139,13 +127,13 @@ def run_trial(
 def run_experiment(cfg: TrialConfig) -> tuple[SurvivalMatrix, SurvivalStats]:
     """Run all trials with the same payload and independent randomness.
 
-    A text channel's carrier is turned into its RawAsciiDocument once,
-    here, rather than by every trial's embed.
+    The carrier is turned into the channel's carrier kind once, here,
+    rather than by every trial's embed. A payload that does not fit raises
+    the channel's CapacityExceededError in the first trial.
     """
-    if CHANNELS[cfg.channel].text:
-        cfg = replace(cfg, carrier=as_carrier(cfg.carrier, cfg.channel))
+    cfg = replace(cfg, carrier=as_carrier(cfg.carrier, cfg.channel))
     cfg.validate()
-    payload = _experiment_payload(cfg)
+    payload = BitSequence.random(cfg.payload_bits, _source(cfg, "payload"))
     rows = np.zeros((cfg.trials, cfg.payload_bits), dtype=bool)
     arrangement_rows = []
     for t in range(cfg.trials):
@@ -214,13 +202,11 @@ def emit_csv(matrix: SurvivalMatrix, stats: SurvivalStats, path) -> tuple[Path, 
     return matrix_path, stats_path
 
 
-def _bin_counts(values, by_value=None) -> dict[int, Counter]:
-    """1-percentage-point histogram bins keyed by series label."""
-    if by_value is None:
-        return {None: Counter(int(math.floor(v)) for v in values)}
+def _bin_counts(by_label: dict) -> dict[int | None, Counter]:
+    """1-percentage-point histogram bins of each series, keyed by its label."""
     return {
         label: Counter(int(math.floor(v)) for v in series)
-        for label, series in by_value.items()
+        for label, series in by_label.items()
     }
 
 
@@ -293,12 +279,12 @@ def emit_histogram(stats: SurvivalStats, path) -> Path:
     body += _render_chart(
         0,
         "Per-trial survival (1 pp bins)",
-        _bin_counts(stats.per_trial_survival_pct),
+        _bin_counts({None: stats.per_trial_survival_pct}),
     )
     body += _render_chart(
         440,
         "Per-bit survival by payload value",
-        _bin_counts(None, by_value=stats.per_bit_by_value),
+        _bin_counts(stats.per_bit_by_value),
     )
     body.append("</svg>")
     out_path.write_text("\n".join(body) + "\n", encoding="utf-8")

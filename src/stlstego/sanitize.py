@@ -51,23 +51,21 @@ class RandomSource:
     source buffers _BLOCK words; a forked child drops them before drawing.
     """
 
-    __slots__ = ("_rng", "_words", "kind", "seed", "__weakref__")
+    __slots__ = ("_rng", "_words", "__weakref__")
 
-    def __init__(self, rng, kind: str, seed: int | None = None):
+    def __init__(self, rng):
         self._rng = rng
         self._words = iter(())
-        self.kind = kind
-        self.seed = seed
         if rng is None:
             _crypto_sources.add(self)
 
     @classmethod
     def crypto(cls) -> "RandomSource":
-        return cls(None, "cryptographic")
+        return cls(None)
 
     @classmethod
     def seeded(cls, seed: int) -> "RandomSource":
-        return cls(random.Random(seed), "seeded", seed)
+        return cls(random.Random(seed))
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -95,7 +93,7 @@ class RandomSource:
             self._words = iter(_urandom_words())
 
     def __repr__(self):
-        return f"RandomSource({self.kind})"
+        return f"RandomSource({'cryptographic' if self._rng is None else 'seeded'})"
 
 
 _crypto_sources = weakref.WeakSet()

@@ -47,8 +47,7 @@ def detect_format(data: bytes) -> StlFormat:
         raise UnrecognizedFormatError("empty input")
     text = _solid_text(data)
     # str.split() splits on what the scanner's \s matches, \x1c-\x1f included
-    start = -1 if text is None else _last_line_start(text)
-    is_ascii = start >= 0 and text[start:].split(None, 1)[0] == "endsolid"
+    is_ascii = text is not None and text[_last_line_start(text):].split(None, 1)[0] == "endsolid"
     is_binary = len(data) >= 84 and len(data) == 84 + 50 * struct.unpack_from("<I", data, 80)[0]
     if is_ascii and is_binary:  # all-ASCII and length-consistent: the grammar decides
         is_binary = _scan_facets(text) is None
@@ -72,15 +71,14 @@ def _solid_text(data: bytes) -> str | None:
 
 def _last_line_start(text: str) -> int:
     """Offset of the last line of text that holds a non-whitespace
-    character, or -1 if every line is blank."""
+    character. text must hold one, as every text _HEAD matches does."""
     # walking back line by line spares the copy text.rstrip() would make
     end = len(text)
-    while end >= 0:
+    while True:
         start = text.rfind("\n", 0, end) + 1
         if _NON_SPACE.search(text, start, end):
             return start
         end = start - 1
-    return -1
 
 
 def ascii_statements(text: str):

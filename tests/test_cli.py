@@ -9,6 +9,8 @@ from stlstego import (
     ChannelId,
     RawAsciiDocument,
     StlFormat,
+    channels,
+    cli,
     evaluation,
     generate_test_mesh,
     parse_bytes,
@@ -306,27 +308,43 @@ class TestEvaluate:
         assert code == 0
 
     def test_capacity_is_computed_once(self, carrier_ascii, tmp_path, monkeypatch):
+        # once per trial, by the check inside embed: neither the experiment
+        # nor a trial calls capacity() as well
         calls = []
-        original = evaluation.capacity
+        original = channels.capacity
 
         def counted(carrier, channel):
             calls.append(channel)
             return original(carrier, channel)
 
-        monkeypatch.setattr(evaluation, "capacity", counted)
+        for module in (channels, evaluation, cli):
+            monkeypatch.setattr(module, "capacity", counted, raising=False)
         code = run_cli(
             ["evaluate", carrier_ascii, "--channel", "robust-pair", "--bits", 16,
              "--trials", 2, "--seed", 5, "-o", tmp_path / "r"]
         )
         assert code in (0, 1)  # two trials may fail a gate
-        assert calls == [ChannelId.ROBUST_PAIR]
+        assert calls == []
 
-    def test_capacity_error_exit_code(self, carrier_ascii, tmp_path):
+    def test_capacity_error_exit_code(self, carrier_ascii, tmp_path, capsys):
         code = run_cli(
             ["evaluate", carrier_ascii, "--channel", "facet", "--bits", 100000,
              "--trials", 2, "-o", tmp_path / "r"]
         )
         assert code == 3
+        assert "payload needs 100000 bits but the facet channel holds" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_an_error_inside_a_trial_propagates(self, carrier_ascii, tmp_path, monkeypatch):
+        # only a CapacityExceededError is a capacity error, exit 3
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(evaluation, "extract", broken)
+        with pytest.raises(ValueError, match="broadcast"):
+            run_cli(["evaluate", carrier_ascii, "--channel", "facet", "--bits", 16,
+                     "--trials", 2, "--seed", 5, "-o", tmp_path / "r"])
+        assert not (tmp_path / "r").exists()
 
 
 class TestUsageErrors:

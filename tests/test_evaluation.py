@@ -8,6 +8,7 @@ from scipy import stats as sps
 
 from stlstego import (
     BitSequence,
+    CapacityExceededError,
     ChannelId,
     RandomSource,
     SurvivalMatrix,
@@ -21,7 +22,7 @@ from stlstego import (
     sanitize_vertex_channel,
     statistical_gates,
 )
-from stlstego import channels, model
+from stlstego import capacity, channels, model
 from stlstego.evaluation import derive_seed
 
 
@@ -97,8 +98,16 @@ def test_trial_rows_are_reproducible(small_carrier):
 def test_validation_rejects_bad_configs(small_carrier):
     with pytest.raises(ValueError, match="trials"):
         TrialConfig(ChannelId.FACET, small_carrier, payload_bits=8, trials=0).validate()
-    with pytest.raises(ValueError, match="capacity"):
-        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=10_000).validate()
+    with pytest.raises(ValueError, match="payload_bits"):
+        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=-1).validate()
+    # capacity is the channel's own check, made by each trial's embed
+    held = capacity(small_carrier, ChannelId.FACET)
+    cfg = TrialConfig(ChannelId.FACET, small_carrier, payload_bits=10_000, trials=2, seed=1)
+    with pytest.raises(
+        CapacityExceededError,
+        match=f"^payload needs 10000 bits but the facet channel holds {held}$",
+    ):
+        run_experiment(cfg)
 
 
 def test_an_unseeded_experiment_draws_a_fresh_payload(small_carrier):

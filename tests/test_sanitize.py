@@ -351,10 +351,9 @@ def test_seeded_empty_range_raises(n):
 
 
 def test_random_source_kinds():
-    seeded = RandomSource.seeded(42)
-    assert seeded.kind == "seeded" and seeded.seed == 42
+    assert repr(RandomSource.seeded(42)) == "RandomSource(seeded)"
     crypto = RandomSource.crypto()
-    assert crypto.kind == "cryptographic" and crypto.seed is None
+    assert repr(crypto) == "RandomSource(cryptographic)"
     draws = {crypto.randbelow(1000) for _ in range(50)}
     assert len(draws) > 1
 

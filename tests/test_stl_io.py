@@ -351,6 +351,11 @@ class TestParseBinary:
         data[84:] = bytes(len(data) - 84)
         assert parsed.records.tobytes() == model.records.tobytes()
 
+    @pytest.mark.parametrize("size", [0, 83])
+    def test_a_buffer_shorter_than_the_header_is_rejected(self, size):
+        with pytest.raises(StlParseError, match=f"^binary STL needs at least 84 bytes, got {size}$"):
+            parse_binary(bytes(size))
+
     def test_length_mismatch(self):
         data = b"\x00" * 80 + struct.pack("<I", 2) + b"\x00" * 50
         with pytest.raises(StlParseError, match="length mismatch"):

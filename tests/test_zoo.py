@@ -23,7 +23,7 @@ from stlstego import (
 )
 from stlstego.channels import CHANNELS
 from stlstego.model import coords, rhr_normals, rotate
-from zoo import cad_like, dirty_export, extremes
+from zoo import cad_like, dirty_export, extremes, heightfield
 
 SEEDS = [1, 2, 3]
 
@@ -90,7 +90,7 @@ def test_sanitize_keeps_the_geometry(seed):
     assert sorted(cleaned.geometry_keys.tolist()) == sorted(model.geometry_keys.tolist())
 
 
-EXPORTS = {"dirty-export": dirty_export, "cad-like": cad_like}
+EXPORTS = {"dirty-export": dirty_export, "cad-like": cad_like, "heightfield": heightfield}
 
 
 def _keys(model) -> list:
@@ -112,6 +112,14 @@ def test_the_exports_have_their_features():
         assert not model.degenerate.any()
         assert (model.vertices * 2 == np.round(model.vertices * 2)).all()  # on the grid
         assert (np.signbit(model.normals) & (model.normals == 0)).any()
+        model, _, _ = heightfield(seed)
+        # a shared grid: each vertex is a corner of more than four facets on average
+        assert 4 * len(np.unique(model.vertices.reshape(-1, 3), axis=0)) < 3 * len(model)
+        vertices = model.vertices.astype(np.float64)
+        edges = np.linalg.norm(vertices[:, [1, 2, 0]] - vertices, axis=2)
+        assert (edges.max(axis=1) >= 20 * edges.min(axis=1)).all()  # thin triangles
+        assert (model.normals[:, 2] > 0).all()  # right-hand rule, pointing up
+        assert not model.degenerate.any() and rhr_normals(model.vertices)[1].all()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -4,8 +4,8 @@ Each generator returns a model and an ASCII rendering of it that parses to
 the model's exact bits. The renderings vary everything the grammar allows
 without changing a value, so a reader or a channel that gets the number
 grammar, the float32 range or the whitespace rules wrong shows it. The
-dirty export and CAD-like generators also return binary files of the
-model under the headers exporters write.
+dirty export, CAD-like and heightfield generators also return binary files
+of the model under the headers exporters write.
 """
 import math
 import random
@@ -201,3 +201,34 @@ def cad_like(seed: int) -> tuple[StlModel, str, list[bytes]]:
     coords(records)[:, 0] = rhr_normals(vertices)[0]
     model = StlModel("cad_like", records, StlFormat.BINARY)
     return model, _render(model, rng), [_binary(model, b"solid cad_like".ljust(80))]
+
+
+def heightfield(seed: int) -> tuple[StlModel, str, list[bytes]]:
+    """A terrain patch as a heightfield exporter writes it: a grid of shared
+    vertices whose cells are 25 to 40 times longer than they are wide, so
+    every triangle is thin, with heights from a smooth seeded surface and two
+    triangles per cell, wound so that the right-hand-rule normals point up.
+    Returns the model, its ASCII rendering and a binary file of it."""
+    rng = random.Random(seed)
+    columns, rows = 24, 8
+    width = rng.uniform(0.2, 0.5)
+    length = width * rng.uniform(25, 40)
+    x, y = np.meshgrid(np.arange(columns + 1) * width, np.arange(rows + 1) * length)
+    # three waves, whose phase moves by at most two radians along each side
+    z = sum(
+        rng.uniform(0.2, 1.0) * np.sin(rng.uniform(0.5, 2) * x / (columns * width)
+                                       + rng.uniform(0.5, 2) * y / (rows * length)
+                                       + rng.uniform(0, 2 * math.pi))
+        for _ in range(3)
+    )
+    grid = np.stack([x, y, z], axis=-1).astype(np.float32)
+    p00, p10 = grid[:-1, :-1], grid[:-1, 1:]
+    p01, p11 = grid[1:, :-1], grid[1:, 1:]
+    # counter-clockwise seen from above, cell by cell
+    vertices = np.stack([np.stack([p00, p10, p11], axis=2), np.stack([p00, p11, p01], axis=2)],
+                        axis=2).reshape(-1, 3, 3)
+    records = np.zeros(len(vertices), dtype=RECORD_DTYPE)
+    coords(records)[:, 1:] = vertices
+    coords(records)[:, 0] = rhr_normals(vertices)[0]
+    model = StlModel("heightfield", records, StlFormat.BINARY)
+    return model, _render(model, rng), [_binary(model, b"heightfield")]
