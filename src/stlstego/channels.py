@@ -114,7 +114,7 @@ def _write_order(model: StlModel, runs, bits) -> StlModel:
     order = np.arange(len(model))
     order[runs[:, :half]] = runs[:, half:]
     order[runs[:, half:]] = runs[:, :half]
-    return model.with_records(model.records[order])
+    return model.take(order)
 
 
 def _read_vertex(model: StlModel, indices) -> np.ndarray:

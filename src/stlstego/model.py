@@ -75,7 +75,10 @@ class StlModel:
     the read-only (n, 9) ``geometry_keys`` array, the read-only
     ``degenerate`` mask and ``facets``, the records as Facet values (kept
     for ``perfbench/gen.py``, which reads them). A model made by
-    ``with_records`` computes its own.
+    ``with_records`` computes its own. A model made by ``take`` inherits
+    ``geometry_keys`` and ``degenerate`` as rows of its source's, when the
+    source has computed them: both are functions of a facet's own record,
+    so the taken rows equal a fresh computation bit for bit.
     """
 
     solid_name: str = ""
@@ -142,6 +145,14 @@ class StlModel:
 
     def with_records(self, records: np.ndarray) -> "StlModel":
         return StlModel(self.solid_name, records, self.source_format)
+
+    def take(self, order: np.ndarray) -> "StlModel":
+        """The model whose facet i is this model's facet order[i]."""
+        taken = self.with_records(self.records[order])
+        for name in ("geometry_keys", "degenerate"):
+            if name in self.__dict__:
+                taken.__dict__[name] = _read_only(self.__dict__[name][order])
+        return taken
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The scrubbers destroy whatever any encoding could have stored in a channel
 while leaving the described geometry untouched: facets are reordered, never
 moved, added, or deleted, and vertex lists are only rotated cyclically so
-the right-hand rule is preserved. No pass inspects decoded values, and the
-amount of randomness drawn depends only on the facet count, so the output
+the right-hand rule is preserved. No pass inspects decoded values: the
+bounds a pass draws below depend only on the facet count, and how many
+words a source reads for them depends only on its own words, so the output
 reveals nothing about a previously embedded payload.
 
 Number notation and indentation need no explicit pass: serializing through
@@ -42,6 +43,12 @@ class RandomSource:
     stream is random.Random.randrange's rejection loop over getrandbits,
     run inside randbelow, one Python call per draw: the same values and
     the same generator state as randrange, which the tests pin.
+
+    The passes draw through randbelow_many, one call per pass. A seeded
+    source runs _lemire32 over 32-bit words of its own generator there, a
+    stream of its own, not randrange's; a crypto source still calls
+    randbelow once per bound, in order, so that a wrapper on randbelow
+    sees every draw.
 
     A crypto source maps each 64-bit word x read from os.urandom to
     (x * n) >> 64, rejecting the words whose low 64 bits of x * n fall
@@ -92,8 +99,40 @@ class RandomSource:
                     return product >> 64
             self._words = iter(_urandom_words())
 
+    def randbelow_many(self, bounds) -> np.ndarray:
+        """Uniform integers in [0, b) for each b of bounds, each in [1, 2**32],
+        as an int64 array."""
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if len(bounds) and not (bounds.min() >= 1 and bounds.max() <= 1 << 32):
+            raise ValueError("bounds must lie in [1, 2**32]")
+        if self._rng is None:
+            draw = self.randbelow
+            return np.array([draw(b) for b in bounds.tolist()], dtype=np.int64)
+        return _lemire32(bounds, self._rng.getrandbits)
+
     def __repr__(self):
         return f"RandomSource({'cryptographic' if self._rng is None else 'seeded'})"
+
+
+def _lemire32(bounds: np.ndarray, getrandbits) -> np.ndarray:
+    """Lemire's multiply-shift over 32-bit words: word w gives (w * b) >> 32,
+    rejected when the low 32 bits of w * b fall below 2**32 mod b. Only the
+    rejected positions draw again, each from a fresh word, so every result is
+    exactly uniform and rejection depends on the words alone. Words are read
+    from getrandbits(32 * m), lowest word first."""
+    bounds = bounds.astype(np.uint64)
+    floors = np.uint64(1 << 32) % bounds
+    out = np.empty(len(bounds), dtype=np.int64)
+    pending = np.arange(len(bounds))
+    while len(pending):
+        m = len(pending)
+        words = np.frombuffer(getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        # w * b < 2**64: w < 2**32 and b <= 2**32
+        product = words * bounds[pending]
+        accept = (product & np.uint64(0xFFFFFFFF)) >= floors[pending]
+        out[pending[accept]] = product[accept] >> np.uint64(32)
+        pending = pending[~accept]
+    return out
 
 
 _crypto_sources = weakref.WeakSet()
@@ -131,19 +170,18 @@ def sanitize_facet_channel(model: StlModel, rng: RandomSource) -> StlModel:
     Fisher-Yates: walk i from the end, swap position i with a random
     position j in [0, i]. Facet contents are untouched.
     """
-    order = list(range(len(model)))
-    draw = rng.randbelow
-    for i in range(len(order) - 1, 0, -1):
-        j = draw(i + 1)
+    n = len(model)
+    order = list(range(n))
+    draws = rng.randbelow_many(np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), draws):
         order[i], order[j] = order[j], order[i]
-    return model.with_records(model.records[np.array(order, dtype=np.intp)])
+    return model.take(np.array(order, dtype=np.intp))
 
 
 def sanitize_vertex_channel(model: StlModel, rng: RandomSource) -> StlModel:
     """Rotate each facet's vertex list left, right, or not at all, each
     with probability 1/3, independently per facet."""
-    draw = rng.randbelow
-    turns = np.array([draw(3) for _ in range(len(model))], dtype=np.intp)
+    turns = rng.randbelow_many(np.full(len(model), 3))
     records = model.records.copy()
     # turn 0 rotates left (b, c, a), turn 1 right (c, a, b), turn 2 not at all
     coords(records)[:, 1:] = rotate(model.vertices, (turns + 1) % 3)

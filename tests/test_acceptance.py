@@ -1,9 +1,10 @@
 """Acceptance suite: one test per release criterion, each printing a
 pass/fail line (run with -s or -v to see them).
 
-Statistical criteria run seeded where the criterion allows reproducible
-randomness; the preimage-resistance check draws from the OS entropy pool by
-design, so it carries the usual 1 % false-reject rate of its alpha level.
+Every statistical criterion runs seeded from SEED, so a correct tree passes
+each of them every time. The preimage-resistance check scrubs with seeded
+sources too; the OS-entropy path's mechanics (exact rejection, refills,
+forks) are tested in test_sanitize.py.
 """
 import random
 import time
@@ -229,13 +230,14 @@ def test_09_implicit_channel_erasure():
 
 def test_10_preimage_resistance_proxy(icosphere2):
     payload = BitSequence.random(128, RandomSource.seeded(SEED))
+    rng = random.Random(SEED)
     table = []
     for p in (payload, payload.complement()):
         ones = 0
         total = 0
         for _ in range(200):
             stego = write_binary(embed(icosphere2, ChannelId.FACET, p))
-            out, _ = sanitize_all(stego, RandomSource.crypto())
+            out, _ = sanitize_all(stego, RandomSource.seeded(rng.randrange(2**62)))
             bits = extract(parse_binary(out), ChannelId.FACET, 128)
             ones += sum(bits)
             total += len(bits)

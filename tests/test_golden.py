@@ -34,8 +34,8 @@ def carrier():
 
 
 SANITIZE_GOLDEN = {
-    StlFormat.ASCII: "b9d1265d8fe1f50b",
-    StlFormat.BINARY: "62e71cee4850c6a9",
+    StlFormat.ASCII: "14120f364366da85",
+    StlFormat.BINARY: "7598bd22dc6770d0",
 }
 
 
@@ -81,12 +81,12 @@ def test_seeded_embed(channel, carrier):
 
 
 EXPERIMENT_GOLDEN = {
-    ChannelId.FACET: "b8ea40f6aecf707d",
-    ChannelId.VERTEX: "9ced34265a7418f8",
+    ChannelId.FACET: "f788bc9ff6dcba9e",
+    ChannelId.VERTEX: "196b0a798f97bfdc",
     ChannelId.NORMAL: "b04183ff1e28ac6a",
     ChannelId.NUMBER: "b04183ff1e28ac6a",
     ChannelId.WHITESPACE: "b04183ff1e28ac6a",
-    ChannelId.ROBUST_PAIR: "66615831575e50f2",
+    ChannelId.ROBUST_PAIR: "c9c9882d91d3c86f",
 }
 
 

@@ -49,6 +49,9 @@ class ScriptedRng:
         assert 0 <= v < n
         return v
 
+    def randbelow_many(self, bounds):
+        return np.array([self.randbelow(n) for n in bounds], dtype=np.int64)
+
 
 def oracle_unit_normal(v1, v2, v3):
     # independent implementation: numpy vector algebra end to end
@@ -298,17 +301,25 @@ def test_sanitize_model_composes_all_three_passes():
 @pytest.mark.parametrize("source", ["crypto", "seeded"])
 def test_sanitize_all_draws_fixed_bounds_in_order(monkeypatch, n, fmt, source):
     # wrapped at class level, as the benchmark's tracer counts draws
-    bounds = []
+    bounds, calls = [], []
+    randbelow_many = RandomSource.__dict__["randbelow_many"]
     randbelow = RandomSource.__dict__["randbelow"]
 
+    def counted_many(rng, ks):
+        bounds.extend(np.asarray(ks).tolist())
+        return randbelow_many(rng, ks)
+
     def counted(rng, k):
-        bounds.append(k)
+        calls.append(k)
         return randbelow(rng, k)
 
+    monkeypatch.setattr(RandomSource, "randbelow_many", counted_many)
     monkeypatch.setattr(RandomSource, "randbelow", counted)
     rng = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(n)
     sanitize_all(serialize(tagged_model(n), fmt), rng)
     assert bounds == [*range(n, 1, -1), *[3] * n]
+    # the tracer's view: a crypto source draws each bound in its own call
+    assert calls == (bounds if source == "crypto" else [])
 
 
 def test_seeded_stream_is_random_randrange():
@@ -348,6 +359,99 @@ def test_seeded_empty_range_raises(n):
     source._rng.getrandbits = bounded
     with pytest.raises(ValueError, match="empty range"):
         source.randbelow(n)
+
+
+class StubWords:
+    """Stands in for a seeded source's generator: getrandbits(32 * m) returns
+    the next m scripted 32-bit words, lowest word first."""
+
+    def __init__(self, *words):
+        self.words = list(words)
+        self.requests = []
+
+    def getrandbits(self, k):
+        self.requests.append(k)
+        assert k // 32 <= len(self.words), "more words read than scripted"
+        taken, self.words = self.words[: k // 32], self.words[k // 32 :]
+        return sum(w << (32 * i) for i, w in enumerate(taken))
+
+
+class TestBulkDraws:
+    """Lemire's multiply-shift over a seeded source's 32-bit words."""
+
+    @staticmethod
+    def source(*words):
+        source = RandomSource.seeded(0)
+        source._rng = StubWords(*words)
+        return source
+
+    @pytest.mark.parametrize("b", [3, 7, 2**31 + 1])
+    def test_rejection_threshold_is_exact(self, b):
+        floor = 2**32 % b
+        inverse = pow(b, -1, 2**32)  # word * b has low 32 bits k for word = k * inverse
+        below, at = (floor - 1) * inverse % 2**32, floor * inverse % 2**32
+        draws = self.source(below, at, at)
+        # the first word is rejected and only its position draws again
+        assert draws.randbelow_many([b, b]).tolist() == [at * b >> 32] * 2
+        assert draws._rng.requests == [64, 32]
+        assert draws._rng.words == []
+
+    @staticmethod
+    def reference(bounds, rng):
+        """The kernel with Python ints: each round reads one word per pending
+        position, in position order, and keeps the rejected ones pending."""
+        out, pending = [None] * len(bounds), list(range(len(bounds)))
+        while pending:
+            words, retry = rng.getrandbits(32 * len(pending)), []
+            for k, i in enumerate(pending):
+                product = (words >> 32 * k & 0xFFFFFFFF) * bounds[i]
+                if product % 2**32 >= 2**32 % bounds[i]:
+                    out[i] = product >> 32
+                else:
+                    retry.append(i)
+            pending = retry
+        return out
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 1])
+    def test_matches_the_scalar_reference(self, seed):
+        # 2**31 + 1 rejects almost half of all words, so many rounds run
+        bounds = [2**31 + 1] * 300 + [1, 2, 3, 7, 81920, 2**32 - 1, 2**32] * 20
+        reference, source = random.Random(seed), RandomSource.seeded(seed)
+        assert source.randbelow_many(bounds).tolist() == self.reference(bounds, reference)
+        assert source._rng.getstate() == reference.getstate()
+
+    def test_extreme_bounds(self):
+        draws = self.source(0, 1, 2**32 - 1, 2**32 - 1)
+        assert draws.randbelow_many([1, 2**32, 2**32, 1]).tolist() == [0, 1, 2**32 - 1, 0]
+
+    @pytest.mark.parametrize("source", ["crypto", "seeded"])
+    def test_empty_bounds_draw_nothing(self, source):
+        draws = RandomSource.crypto() if source == "crypto" else self.source()
+        out = draws.randbelow_many(np.arange(0))
+        assert out.shape == (0,)
+        if source == "seeded":
+            assert draws._rng.requests == []
+
+    @pytest.mark.parametrize("b", [0, -1, 2**32 + 1])
+    @pytest.mark.parametrize("source", ["crypto", "seeded"])
+    def test_bounds_out_of_range_raise(self, source, b):
+        draws = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(1)
+        with pytest.raises(ValueError):
+            draws.randbelow_many([5, b])
+
+    def test_one_seed_gives_one_stream_and_state(self):
+        bounds = np.concatenate([np.arange(5000, 1, -1), np.full(5000, 3), [2**32, 1]])
+        a, b = RandomSource.seeded(29), RandomSource.seeded(29)
+        assert a.randbelow_many(bounds).tolist() == b.randbelow_many(bounds).tolist()
+        assert a._rng.getstate() == b._rng.getstate()
+        assert a.randbelow(1000) == b.randbelow(1000)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_seeded_draws_are_uniform(self, n):
+        draws = RandomSource.seeded(31).randbelow_many(np.full(3000 * n, n))
+        counts = np.bincount(draws, minlength=n)
+        assert len(counts) == n
+        assert chisquare(counts).pvalue > 1e-4
 
 
 def test_random_source_kinds():

@@ -21,6 +21,7 @@ from stlstego import (
     write_binary,
     write_canonical_ascii,
 )
+from stlstego import model as model_module
 from stlstego.channels import CHANNELS
 from stlstego.model import coords, rhr_normals, rotate
 from zoo import cad_like, dirty_export, extremes, heightfield
@@ -91,6 +92,43 @@ def test_sanitize_keeps_the_geometry(seed):
 
 
 EXPORTS = {"dirty-export": dirty_export, "cad-like": cad_like, "heightfield": heightfield}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("mesh", ["extremes", *EXPORTS])
+def test_take_carries_the_rows_a_fresh_model_computes(mesh, seed):
+    model = extremes(seed)[0] if mesh == "extremes" else EXPORTS[mesh](seed)[0]
+    model.geometry_keys, model.degenerate
+    order = list(range(len(model)))
+    random.Random(seed).shuffle(order)
+    taken = model.take(np.array(order))
+    fresh = model.with_records(model.records[order])
+    assert taken == fresh
+    # bytes, so that -0.0 and 0.0 count as different
+    assert taken.geometry_keys.tobytes() == fresh.geometry_keys.tobytes()
+    assert taken.degenerate.tobytes() == fresh.degenerate.tobytes()
+    assert not taken.geometry_keys.flags.writeable and not taken.degenerate.flags.writeable
+
+
+def test_take_of_a_model_with_nothing_cached_computes_nothing(monkeypatch):
+    calls = []
+
+    def counted(name):
+        original = getattr(model_module, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(model_module, name, wrapper)
+
+    counted("extreme_rotation")
+    counted("degenerate")
+    model = dirty_export(1)[0]
+    taken = model.take(np.arange(len(model))[::-1])
+    assert calls == []
+    taken.degenerate
+    assert calls == ["degenerate"]
 
 
 def _keys(model) -> list:
