@@ -161,8 +161,9 @@ def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     Tokens already in the requested notation are left untouched. A
     rewritten token spells the value the model holds for its slot, number
     slot k being coordinate k of the records, so it keeps its
-    single-precision value exactly and no token is parsed. Each distinct
-    value is spelled once per notation.
+    single-precision value exactly. Each distinct value is spelled once per
+    notation; the document's splice reads the new tokens back in one
+    parse_float32s call.
     """
     bits = _bits(bits)
     changed = np.flatnonzero(_read_number(doc, spans) != bits)

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (for evaluate, all statistical gates passed), 1 usage
 error, 2 parse or format error, 3 capacity or channel-availability error.
-File outputs are written atomically (temp file plus rename), so a failing
-run never leaves a partial file behind.
+The files that gen-mesh, embed, extract -o and sanitize write are written
+atomically (temp file plus rename), so a failing run never leaves a partial
+one behind.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from .evaluation import TrialConfig, emit_csv, emit_histogram, run_experiment, s
 from .icosphere import generate_test_mesh
 from .model import StlFormat
 from .sanitize import RandomSource, sanitize_all
-from .stl_io import parse_bytes, serialize
+from .stl_io import serialize
 
 _CHANNEL_NAMES = [c.value for c in ChannelId]
 
@@ -76,11 +77,11 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--format", choices=["ascii", "binary", "preserve"], default="preserve")
-    p.add_argument("--seed", type=int, help="deterministic randomness (evaluation only)")
     p.add_argument(
         "--insecure-seed",
-        action="store_true",
-        help="acknowledge that seeded sanitizing is reproducible and therefore unsafe",
+        type=int,
+        metavar="SEED",
+        help="deterministic randomness (evaluation only): the output is reproducible, so unsafe",
     )
 
     p = sub.add_parser("evaluate", help="bit-survivability experiment on one channel")
@@ -176,9 +177,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_sanitize(args) -> int:
-    if args.seed is not None and not args.insecure_seed:
-        raise _UsageError("--seed requires --insecure-seed (seeded output is reproducible)")
-    rng = RandomSource.seeded(args.seed) if args.seed is not None else RandomSource.crypto()
+    seed = args.insecure_seed
+    rng = RandomSource.crypto() if seed is None else RandomSource.seeded(seed)
     data = Path(args.input).read_bytes()
     fmt = None if args.format == "preserve" else StlFormat(args.format)
     out, report = sanitize_all(data, rng, output_format=fmt)
@@ -195,7 +195,7 @@ def _cmd_sanitize(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.input:
-        carrier = parse_bytes(Path(args.input).read_bytes())
+        carrier = load_carrier(Path(args.input).read_bytes())
     else:
         carrier = generate_test_mesh(4)
     channel = ChannelId(args.channel)
@@ -232,10 +232,6 @@ def _cmd_evaluate(args) -> int:
     return 1 if failed else 0
 
 
-class _UsageError(Exception):
-    pass
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -249,7 +245,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (_UsageError, FileNotFoundError) as exc:
+    except FileNotFoundError as exc:
         print(f"stlstego: error: {exc}", file=sys.stderr)
         return 1
     except (StlParseError, UnrecognizedFormatError) as exc:

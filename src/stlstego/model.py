@@ -148,10 +148,10 @@ class StlModel:
 
     def take(self, order: np.ndarray) -> "StlModel":
         """The model whose facet i is this model's facet order[i]."""
-        taken = self.with_records(self.records[order])
+        taken = self.with_records(self.records.take(order))
         for name in ("geometry_keys", "degenerate"):
             if name in self.__dict__:
-                taken.__dict__[name] = _read_only(self.__dict__[name][order])
+                taken.__dict__[name] = _read_only(self.__dict__[name].take(order, axis=0))
         return taken
 
 
@@ -197,14 +197,14 @@ def degenerate(vertices: np.ndarray) -> np.ndarray:
     return (v1 == v2).all(axis=1) | (v2 == v3).all(axis=1) | (v1 == v3).all(axis=1)
 
 
+# row s lists a vertex list's indices in the order that starts at vertex s
+_TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
 def rotate(vertices: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Cyclic rotation of each vertex list so that vertex start[i] leads:
     0 keeps (a, b, c), 1 gives (b, c, a), 2 gives (c, a, b)."""
-    out = vertices.copy()
-    for s in (1, 2):
-        turned = start == s
-        out[turned] = vertices[turned][:, [s, (s + 1) % 3, (s + 2) % 3]]
-    return out
+    return vertices[np.arange(len(vertices))[:, None], _TURNS[start]]
 
 
 def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:
@@ -216,6 +216,6 @@ def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:
     n = len(vertices)
     best = vertices.reshape(n, 9)
     for start in (1, 2):
-        key = vertices[:, [start, (start + 1) % 3, (start + 2) % 3]].reshape(n, 9)
+        key = vertices[:, _TURNS[start]].reshape(n, 9)
         best = np.where((lex_compare(key, best) == sign)[:, None], key, best)
     return best

@@ -40,9 +40,7 @@ class RandomSource:
     crypto() draws from the OS entropy pool and is the only mode suitable
     for real use. seeded() is deterministic, for reproducible experiments
     and tests; never wire it into a default code path. A seeded source's
-    stream is random.Random.randrange's rejection loop over getrandbits,
-    run inside randbelow, one Python call per draw: the same values and
-    the same generator state as randrange, which the tests pin.
+    randbelow is its generator's randrange, which the tests pin.
 
     The passes draw through randbelow_many, one call per pass. A seeded
     source runs _lemire32 over 32-bit words of its own generator there, a
@@ -78,14 +76,7 @@ class RandomSource:
         """Uniform integer in [0, n)."""
         rng = self._rng
         if rng is not None:
-            n = index(n)
-            if n <= 0:
-                raise ValueError(f"empty range for randrange({n})")
-            k = n.bit_length()
-            r = rng.getrandbits(k)
-            while r >= n:
-                r = rng.getrandbits(k)
-            return r
+            return rng.randrange(index(n))
         if not 0 < n <= 1 << 64:
             if n <= 0:
                 raise ValueError(f"empty range for randrange({n})")

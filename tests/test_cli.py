@@ -209,8 +209,15 @@ class TestSanitize:
         ) / 160
         assert 0.25 <= agreement <= 0.75
 
-    def test_seed_requires_acknowledgement(self, carrier_ascii, tmp_path):
+    def test_seed_is_not_a_sanitize_option(self, carrier_ascii, tmp_path, capsys):
+        # the one seeding option is --insecure-seed, whose name says the output is unsafe
         code = run_cli(["sanitize", carrier_ascii, "--seed", 5, "-o", tmp_path / "x.stl"])
+        assert code == 1
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "x.stl").exists()
+
+    def test_insecure_seed_needs_a_value(self, carrier_ascii, tmp_path):
+        code = run_cli(["sanitize", carrier_ascii, "-o", tmp_path / "x.stl", "--insecure-seed"])
         assert code == 1
         assert not (tmp_path / "x.stl").exists()
 
@@ -218,8 +225,7 @@ class TestSanitize:
         outs = []
         for name in ("a.stl", "b.stl"):
             path = tmp_path / name
-            assert run_cli(["sanitize", carrier_ascii, "--seed", 5, "--insecure-seed",
-                            "-o", path]) == 0
+            assert run_cli(["sanitize", carrier_ascii, "--insecure-seed", 5, "-o", path]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
@@ -333,6 +339,18 @@ class TestEvaluate:
         )
         assert code == 3
         assert "payload needs 100000 bits but the facet channel holds" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_reads_the_file_that_capacity_reads(self, carrier_ascii, tmp_path, capsys):
+        # without indents the whitespace channel holds nothing, for evaluate as for capacity
+        flat = tmp_path / "flat.stl"
+        flat.write_text(re.sub(r"(?m)^[ \t]+", "", carrier_ascii.read_text()))
+        assert run_cli(["capacity", flat]) == 0
+        assert "whitespace            0\n" in capsys.readouterr().out
+        code = run_cli(["evaluate", flat, "--channel", "whitespace", "--bits", 8,
+                        "--trials", 2, "--seed", 5, "-o", tmp_path / "r"])
+        assert code == 3
+        assert "payload needs 8 bits but the whitespace channel holds 0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     def test_an_error_inside_a_trial_propagates(self, carrier_ascii, tmp_path, monkeypatch):

@@ -105,6 +105,7 @@ def test_take_carries_the_rows_a_fresh_model_computes(mesh, seed):
     fresh = model.with_records(model.records[order])
     assert taken == fresh
     # bytes, so that -0.0 and 0.0 count as different
+    assert taken.records.tobytes() == fresh.records.tobytes()
     assert taken.geometry_keys.tobytes() == fresh.geometry_keys.tobytes()
     assert taken.degenerate.tobytes() == fresh.degenerate.tobytes()
     assert not taken.geometry_keys.flags.writeable and not taken.degenerate.flags.writeable
