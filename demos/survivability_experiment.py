@@ -17,9 +17,8 @@ import numpy as np
 from stlstego import (
     ChannelId,
     TrialConfig,
-    emit_csv,
-    emit_histogram,
     generate_test_mesh,
+    result_files,
     run_experiment,
 )
 
@@ -41,6 +40,7 @@ for channel in (ChannelId.FACET, ChannelId.VERTEX):
         print(f"  rotation states intact  : {stats.arrangement_mean_pct:.2f} %")
 
     out_dir = out_root / channel.value
-    emit_csv(matrix, stats, out_dir)
-    emit_histogram(stats, out_dir / "histogram.svg")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, data in result_files(matrix, stats).items():
+        (out_dir / name).write_bytes(data)
     print(f"  wrote {out_dir}/matrix.csv, stats.csv, histogram.svg\n")

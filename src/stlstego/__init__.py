@@ -24,8 +24,7 @@ from .evaluation import (
     TrialConfig,
     TrialOutcome,
     compute_stats,
-    emit_csv,
-    emit_histogram,
+    result_files,
     run_experiment,
     run_trial,
     statistical_gates,

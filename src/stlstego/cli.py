@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (for evaluate, all statistical gates passed), 1 usage
-error, 2 parse or format error, 3 capacity or channel-availability error.
-The files that gen-mesh, embed, extract -o and sanitize write are written
-atomically (temp file plus rename), so a failing run never leaves a partial
-one behind.
+error or an input or output path that cannot be used, 2 parse or format
+error, 3 capacity or channel-availability error. Every file a verb writes,
+evaluate's three included, is written atomically (temp file plus rename),
+so a failing run never leaves a partial one behind.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from .errors import (
     StlParseError,
     UnrecognizedFormatError,
 )
-from .evaluation import TrialConfig, emit_csv, emit_histogram, run_experiment, statistical_gates
+from .evaluation import TrialConfig, result_files, run_experiment, statistical_gates
 from .icosphere import generate_test_mesh
 from .model import StlFormat
 from .sanitize import RandomSource, sanitize_all
@@ -208,8 +208,9 @@ def _cmd_evaluate(args) -> int:
     )
     matrix, stats = run_experiment(cfg)
     out_dir = Path(args.output)
-    emit_csv(matrix, stats, out_dir)
-    emit_histogram(stats, out_dir / "histogram.svg")
+    # all three are rendered before any is written
+    for name, data in result_files(matrix, stats).items():
+        _write_atomic(out_dir / name, data)
 
     print(f"channel       : {channel.value}")
     print(f"trials x bits : {cfg.trials} x {cfg.payload_bits}")
@@ -221,9 +222,8 @@ def _cmd_evaluate(args) -> int:
             print(f"per-bit mean, payload {value}: {float(series.mean()):.3f} %")
     if stats.arrangement_mean_pct is not None:
         print(f"arrangement unchanged : {stats.arrangement_mean_pct:.3f} %")
-    if len(stats.ones_drift_per_trial):
-        drift = stats.ones_drift_per_trial
-        print(f"ones-count drift      : mean {drift.mean():+.2f}, sd {drift.std():.2f}")
+    drift = stats.ones_drift_per_trial
+    print(f"ones-count drift      : mean {drift.mean():+.2f}, sd {drift.std():.2f}")
     gates = statistical_gates(channel, stats)
     failed = [g for g in gates if not g.passed]
     for gate in gates:
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"stlstego: error: {exc}", file=sys.stderr)
         return 1
     except (StlParseError, UnrecognizedFormatError) as exc:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,11 +46,11 @@ class TrialConfig:
     trials: int = 100
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.payload_bits < 1:
+            raise ValueError(f"payload_bits must be >= 1, got {self.payload_bits}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.payload_bits < 0:
-            raise ValueError("payload_bits must be >= 0")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,14 @@ class SurvivalMatrix:
 @dataclass(frozen=True)
 class SurvivalStats:
     per_trial_survival_pct: np.ndarray
-    mean_pct: float | None
-    variance_pct2: float | None  # population variance of per-trial percentages
+    mean_pct: float
+    variance_pct2: float  # population variance of per-trial percentages
     per_bit_survival_pct: np.ndarray
     per_bit_by_value: dict[int, np.ndarray]
-    arrangement_mean_pct: float | None = None
     # extracted-ones minus payload-ones per trial; a codebook protocol keyed
     # on the global 0/1 balance survives only if this stays pinned near zero
-    ones_drift_per_trial: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    ones_drift_per_trial: np.ndarray
+    arrangement_mean_pct: float | None = None  # vertex channel only
 
 
 def _source(cfg: TrialConfig, *labels) -> RandomSource:
@@ -132,7 +132,6 @@ def run_experiment(cfg: TrialConfig) -> tuple[SurvivalMatrix, SurvivalStats]:
     the channel's CapacityExceededError in the first trial.
     """
     cfg = replace(cfg, carrier=as_carrier(cfg.carrier, cfg.channel))
-    cfg.validate()
     payload = BitSequence.random(cfg.payload_bits, _source(cfg, "payload"))
     rows = np.zeros((cfg.trials, cfg.payload_bits), dtype=bool)
     arrangement_rows = []
@@ -147,16 +146,8 @@ def run_experiment(cfg: TrialConfig) -> tuple[SurvivalMatrix, SurvivalStats]:
 
 def compute_stats(matrix: SurvivalMatrix, arrangement_rows=None) -> SurvivalStats:
     cells = matrix.cells
-    trials, bits = cells.shape
-    if bits == 0:
-        return SurvivalStats(
-            per_trial_survival_pct=np.zeros(0),
-            mean_pct=None,
-            variance_pct2=None,
-            per_bit_survival_pct=np.zeros(0),
-            per_bit_by_value={0: np.zeros(0), 1: np.zeros(0)},
-            ones_drift_per_trial=np.zeros(trials, dtype=int),
-        )
+    if 0 in cells.shape:
+        raise ValueError(f"a survival matrix needs a trial and a bit, got shape {cells.shape}")
     per_trial = cells.mean(axis=1) * 100.0
     per_bit = cells.mean(axis=0) * 100.0
     payload = np.asarray(matrix.payload.bits)
@@ -178,28 +169,10 @@ def compute_stats(matrix: SurvivalMatrix, arrangement_rows=None) -> SurvivalStat
     )
 
 
-def emit_csv(matrix: SurvivalMatrix, stats: SurvivalStats, path) -> tuple[Path, Path]:
-    """Write matrix.csv (one row per trial, 1 = survived) and stats.csv
-    (per-bit position, payload bit value, survival percent) under path."""
-    out_dir = Path(path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trials, bits = matrix.cells.shape
-
-    matrix_path = out_dir / "matrix.csv"
-    with matrix_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial"] + [f"bit_{i}" for i in range(bits)])
-        for t in range(trials):
-            writer.writerow([t] + [int(c) for c in matrix.cells[t]])
-
-    stats_path = out_dir / "stats.csv"
-    with stats_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bit", "payload_bit", "survival_pct"])
-        for i in range(bits):
-            writer.writerow([i, matrix.payload[i], repr(float(stats.per_bit_survival_pct[i]))])
-
-    return matrix_path, stats_path
+def _csv(rows) -> bytes:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(rows)
+    return text.getvalue().encode("ascii")
 
 
 def _bin_counts(by_label: dict) -> dict[int | None, Counter]:
@@ -217,12 +190,6 @@ def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
         f'<text x="{x0 + width / 2:.0f}" y="18" text-anchor="middle" '
         f'font-size="13" font-weight="bold">{title}</text>'
     ]
-    if not all_bins:
-        parts.append(
-            f'<text x="{x0 + width / 2:.0f}" y="{height / 2:.0f}" '
-            f'text-anchor="middle" font-size="11">no data</text>'
-        )
-        return parts
     lo, hi = all_bins[0], all_bins[-1]
     nbins = hi - lo + 1
     peak = max(max(c.values()) for c in series.values() if c)
@@ -264,31 +231,47 @@ def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
     return parts
 
 
-def emit_histogram(stats: SurvivalStats, path) -> Path:
-    """Write a self-contained SVG with the per-trial survival histogram and
-    the per-bit survival histogram (split by payload bit value). Every bar
-    carries its count both as a text label and as a data-count attribute."""
-    out_path = Path(path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+def result_files(matrix: SurvivalMatrix, stats: SurvivalStats) -> dict[str, bytes]:
+    """An experiment's result files by name.
+
+    matrix.csv has one row per trial (1 = survived); stats.csv gives each
+    bit position its payload bit and survival percent; histogram.svg is a
+    self-contained SVG with the per-trial survival histogram and the
+    per-bit survival histogram split by payload bit value, every bar
+    carrying its count both as a text label and as a data-count attribute.
+    """
+    bits = matrix.cells.shape[1]
     width, height = 880, 280
-    body = [
+    svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    body += _render_chart(
+    svg += _render_chart(
         0,
         "Per-trial survival (1 pp bins)",
         _bin_counts({None: stats.per_trial_survival_pct}),
     )
-    body += _render_chart(
+    svg += _render_chart(
         440,
         "Per-bit survival by payload value",
         _bin_counts(stats.per_bit_by_value),
     )
-    body.append("</svg>")
-    out_path.write_text("\n".join(body) + "\n", encoding="utf-8")
-    return out_path
+    svg.append("</svg>")
+    return {
+        "matrix.csv": _csv(
+            [["trial"] + [f"bit_{i}" for i in range(bits)]]
+            + [[t] + [int(c) for c in row] for t, row in enumerate(matrix.cells)]
+        ),
+        "stats.csv": _csv(
+            [["bit", "payload_bit", "survival_pct"]]
+            + [
+                [i, matrix.payload[i], repr(float(stats.per_bit_survival_pct[i]))]
+                for i in range(bits)
+            ]
+        ),
+        "histogram.svg": ("\n".join(svg) + "\n").encode("utf-8"),
+    }
 
 
 @dataclass(frozen=True)
@@ -316,8 +299,6 @@ def _range_gate(name: str, value: float, lo: float, hi: float) -> Gate:
 
 def statistical_gates(channel: ChannelId, stats: SurvivalStats) -> list[Gate]:
     """Pass/fail checks that the scrubber left no usable signal."""
-    if stats.mean_pct is None:
-        return []
     gates = []
     if channel is ChannelId.FACET:
         gates.append(_range_gate("mean survival pct", stats.mean_pct, *FACET_MEAN_RANGE))

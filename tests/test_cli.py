@@ -274,7 +274,7 @@ class TestSanitize:
         assert stat.S_IMODE(clean.stat().st_mode) == mode
 
     def test_a_failed_replace_leaves_the_target_and_no_temporary(
-        self, carrier_ascii, tmp_path, monkeypatch
+        self, carrier_ascii, tmp_path, monkeypatch, capsys
     ):
         out = tmp_path / "clean.stl"
         out.write_bytes(b"earlier output")
@@ -283,8 +283,8 @@ class TestSanitize:
             raise PermissionError(f"cannot replace {dst}")
 
         monkeypatch.setattr(os, "replace", refuse)
-        with pytest.raises(PermissionError, match="cannot replace"):
-            run_cli(["sanitize", carrier_ascii, "-o", out])
+        assert run_cli(["sanitize", carrier_ascii, "-o", out]) == 1
+        assert capsys.readouterr().err == f"stlstego: error: cannot replace {out}\n"
         assert out.read_bytes() == b"earlier output"
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -312,6 +312,23 @@ class TestEvaluate:
         assert "mean survival" in stdout
         assert "gate" in stdout
         assert code == 0
+
+    def test_a_failed_render_leaves_earlier_results(self, carrier_ascii, tmp_path, monkeypatch):
+        # every file is rendered before the first is written
+        out_dir = tmp_path / "results"
+        out_dir.mkdir()
+        stale = {name: f"stale {name}".encode() for name in ("matrix.csv", "stats.csv", "histogram.svg")}
+        for name, data in stale.items():
+            (out_dir / name).write_bytes(data)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("chart failed")
+
+        monkeypatch.setattr(evaluation, "_render_chart", broken)
+        with pytest.raises(RuntimeError, match="chart failed"):
+            run_cli(["evaluate", carrier_ascii, "--channel", "facet", "--bits", 16,
+                     "--trials", 2, "--seed", 5, "-o", out_dir])
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == stale
 
     def test_capacity_is_computed_once(self, carrier_ascii, tmp_path, monkeypatch):
         # once per trial, by the check inside embed: neither the experiment
@@ -375,6 +392,35 @@ class TestUsageErrors:
 
     def test_missing_input_file(self, tmp_path):
         assert run_cli(["capacity", tmp_path / "nope.stl"]) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sanitize", "{ascii}", "-o", "{dir}"],
+            ["evaluate", "{ascii}", "--channel", "facet", "--bits", "8", "--trials", "2",
+             "--seed", "1", "-o", "{file}"],
+            ["sanitize", "{ascii}", "-o", "{file}/x.stl"],
+            ["capacity", "{dir}"],
+        ],
+        ids=["sanitize-to-directory", "evaluate-to-file", "sanitize-under-file",
+             "capacity-of-directory"],
+    )
+    def test_unusable_path(self, args, carrier_ascii, tmp_path, capsys):
+        # an OS error on a path is one line on stderr and exit 1, as a missing file is
+        directory = tmp_path / "dir"
+        directory.mkdir()
+        (directory / "kept.txt").write_bytes(b"kept")
+        file = tmp_path / "file"
+        file.write_bytes(b"earlier output")
+        argv = [a.format(ascii=carrier_ascii, dir=directory, file=file) for a in args]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stlstego: error: [Errno ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert file.read_bytes() == b"earlier output"
+        assert [p.name for p in directory.iterdir()] == ["kept.txt"]
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize(
         "args",

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,9 +15,8 @@ from stlstego import (
     SurvivalMatrix,
     TrialConfig,
     compute_stats,
-    emit_csv,
-    emit_histogram,
     generate_test_mesh,
+    result_files,
     run_experiment,
     run_trial,
     sanitize_vertex_channel,
@@ -97,9 +97,11 @@ def test_trial_rows_are_reproducible(small_carrier):
 
 def test_validation_rejects_bad_configs(small_carrier):
     with pytest.raises(ValueError, match="trials"):
-        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=8, trials=0).validate()
+        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=8, trials=0)
     with pytest.raises(ValueError, match="payload_bits"):
-        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=-1).validate()
+        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=-1)
+    with pytest.raises(ValueError, match="payload_bits"):
+        TrialConfig(ChannelId.FACET, small_carrier, payload_bits=0, trials=1)
     # capacity is the channel's own check, made by each trial's embed
     held = capacity(small_carrier, ChannelId.FACET)
     cfg = TrialConfig(ChannelId.FACET, small_carrier, payload_bits=10_000, trials=2, seed=1)
@@ -119,12 +121,13 @@ def test_an_unseeded_experiment_draws_a_fresh_payload(small_carrier):
     assert first.payload != second.payload  # equal with probability 2**-64
 
 
-def test_degenerate_empty_experiment(small_carrier):
-    cfg = TrialConfig(channel=ChannelId.FACET, carrier=small_carrier, payload_bits=0, trials=1, seed=1)
-    matrix, stats = run_experiment(cfg)
-    assert matrix.cells.shape == (1, 0)
-    assert stats.mean_pct is None
-    assert stats.variance_pct2 is None
+def test_degenerate_empty_experiment():
+    # an experiment needs a trial and a bit; an empty matrix has no statistics
+    for trials, bits in ((1, 0), (0, 3)):
+        cells = np.zeros((trials, bits), dtype=bool)
+        matrix = SurvivalMatrix(cells=cells, payload=BitSequence([1] * bits))
+        with pytest.raises(ValueError, match="needs a trial and a bit"):
+            compute_stats(matrix)
 
 
 class TestFacetStats:
@@ -197,74 +200,67 @@ class TestCsvOutput:
         matrix = SurvivalMatrix(cells=cells, payload=payload)
         return matrix, compute_stats(matrix)
 
-    def test_matrix_layout(self, tmp_path):
+    def test_matrix_layout(self):
         matrix, stats = self.make_small()
-        matrix_path, stats_path = emit_csv(matrix, stats, tmp_path)
-        lines = matrix_path.read_text().splitlines()
+        lines = result_files(matrix, stats)["matrix.csv"].decode().splitlines()
         assert lines[0] == "trial,bit_0,bit_1,bit_2"
         assert lines[1] == "0,1,0,1"
         assert lines[2] == "1,1,1,0"
         assert len(lines) == 3
 
-    def test_row_sums_match_per_trial_percentages(self, tmp_path):
+    def test_row_sums_match_per_trial_percentages(self):
         matrix, stats = self.make_small()
-        matrix_path, _ = emit_csv(matrix, stats, tmp_path)
-        with matrix_path.open() as fh:
-            rows = list(csv.DictReader(fh))
+        text = result_files(matrix, stats)["matrix.csv"].decode()
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
         for t, row in enumerate(rows):
             cells = [int(row[f"bit_{i}"]) for i in range(3)]
             assert sum(cells) / 3 * 100 == stats.per_trial_survival_pct[t]
 
-    def test_stats_round_trip_exactly(self, tmp_path):
+    def test_stats_round_trip_exactly(self):
         matrix, stats = self.make_small()
-        _, stats_path = emit_csv(matrix, stats, tmp_path)
-        with stats_path.open() as fh:
-            rows = list(csv.DictReader(fh))
+        text = result_files(matrix, stats)["stats.csv"].decode()
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
         assert [int(r["bit"]) for r in rows] == [0, 1, 2]
         assert [int(r["payload_bit"]) for r in rows] == [1, 0, 1]
         assert [float(r["survival_pct"]) for r in rows] == list(stats.per_bit_survival_pct)
 
-    def test_identical_seed_gives_identical_files(self, tmp_path, small_carrier):
+    def test_identical_seed_gives_identical_files(self, small_carrier):
         cfg = TrialConfig(
             channel=ChannelId.VERTEX, carrier=small_carrier, payload_bits=50, trials=10, seed=77
         )
         outputs = []
-        for name in ("a", "b"):
+        for _ in ("a", "b"):
             matrix, stats = run_experiment(cfg)
-            mp, sp = emit_csv(matrix, stats, tmp_path / name)
-            outputs.append((mp.read_bytes(), sp.read_bytes()))
+            files = result_files(matrix, stats)
+            outputs.append((files["matrix.csv"], files["stats.csv"]))
         assert outputs[0] == outputs[1]
 
 
 class TestHistogram:
-    def rects(self, path):
+    def rects(self, matrix, stats):
         ns = {"svg": "http://www.w3.org/2000/svg"}
-        root = ET.parse(path).getroot()
+        root = ET.fromstring(result_files(matrix, stats)["histogram.svg"])
         return root.findall(".//svg:rect[@data-count]", ns)
 
-    def test_degenerate_single_bar(self, tmp_path):
+    def test_degenerate_single_bar(self):
         cells = np.ones((4, 10), dtype=bool)
         matrix = SurvivalMatrix(cells=cells, payload=BitSequence([1] * 10))
         stats = compute_stats(matrix)
-        path = emit_histogram(stats, tmp_path / "h.svg")
-        bars = [r for r in self.rects(path) if r.get("data-series") == "all"]
+        bars = [r for r in self.rects(matrix, stats) if r.get("data-series") == "all"]
         assert len(bars) == 1
         assert bars[0].get("data-bin") == "100"
         assert bars[0].get("data-count") == "4"
 
-    def test_facet_histogram_unimodal_near_fifty(self, tmp_path, facet_experiment):
-        _, stats = facet_experiment
-        path = emit_histogram(stats, tmp_path / "facet.svg")
-        bars = [r for r in self.rects(path) if r.get("data-series") == "all"]
+    def test_facet_histogram_unimodal_near_fifty(self, facet_experiment):
+        bars = [r for r in self.rects(*facet_experiment) if r.get("data-series") == "all"]
         assert sum(int(b.get("data-count")) for b in bars) == 100
         modal = max(bars, key=lambda b: int(b.get("data-count")))
         assert 47 <= int(modal.get("data-bin")) <= 52
 
-    def test_vertex_histogram_bimodal_by_value(self, tmp_path, vertex_experiment):
-        _, stats = vertex_experiment
-        path = emit_histogram(stats, tmp_path / "vertex.svg")
+    def test_vertex_histogram_bimodal_by_value(self, vertex_experiment):
+        rects = self.rects(*vertex_experiment)
         for series, target in (("payload_1", 33), ("payload_0", 67)):
-            bars = [r for r in self.rects(path) if r.get("data-series") == series]
+            bars = [r for r in rects if r.get("data-series") == series]
             assert bars
             total = sum(int(b.get("data-count")) for b in bars)
             center = (
@@ -272,10 +268,11 @@ class TestHistogram:
             )
             assert abs(center - target) < 3.0
 
-    def test_empty_stats_render(self, tmp_path):
+    def test_empty_stats_render(self):
+        # no statistics, so nothing to render: the matrix is refused first
         matrix = SurvivalMatrix(cells=np.zeros((1, 0), dtype=bool), payload=BitSequence(()))
-        path = emit_histogram(compute_stats(matrix), tmp_path / "empty.svg")
-        assert ET.parse(path).getroot() is not None
+        with pytest.raises(ValueError, match="needs a trial and a bit"):
+            compute_stats(matrix)
 
 
 def test_robust_pair_uses_full_scrub(small_carrier):
