@@ -70,5 +70,6 @@ class BitSequence:
 
     @classmethod
     def random(cls, length: int, rng) -> "BitSequence":
-        """Draw `length` bits from rng, any object with randbelow(n)."""
-        return cls(rng.randbelow(2) for _ in range(length))
+        """Draw `length` bits from rng, any object with randbelow_many(bounds),
+        in one call: a seeded RandomSource reads one word per bit."""
+        return cls(rng.randbelow_many(np.full(length, 2)).astype(np.uint8))

@@ -247,10 +247,6 @@ CHANNELS = {
     ),
 }
 
-def _require_ascii(source: StlFormat, channel: ChannelId) -> None:
-    if source is StlFormat.BINARY:
-        raise ChannelUnavailableError(f"{channel.value} channel requires an ASCII source")
-
 
 def as_carrier(carrier, channel: ChannelId):
     """The carrier kind the channel reads: a text channel turns an
@@ -259,7 +255,8 @@ def as_carrier(carrier, channel: ChannelId):
     if CHANNELS[channel].text:
         if isinstance(carrier, RawAsciiDocument):
             return carrier
-        _require_ascii(carrier.source_format, channel)
+        if carrier.source_format is StlFormat.BINARY:
+            raise ChannelUnavailableError(f"{channel.value} channel requires an ASCII source")
         return RawAsciiDocument(write_canonical_ascii(carrier))
     if isinstance(carrier, RawAsciiDocument):
         return carrier.model
@@ -274,16 +271,21 @@ def load_carrier(data: bytes):
     return read_stl(data, RawAsciiDocument)
 
 
-def _check_capacity(channel: ChannelId, needed: int, available: int) -> None:
-    if needed > available:
-        raise CapacityExceededError(
-            f"payload needs {needed} bits but the {channel.value} channel holds {available}"
-        )
-
-
 def capacity(carrier, channel: ChannelId) -> int:
     """Number of payload bits the channel can hold in this carrier."""
     return len(CHANNELS[channel].slots(as_carrier(carrier, channel)))
+
+
+def _first_slots(carrier, channel: ChannelId, k: int):
+    """The channel's carrier kind and its first k slots, or
+    CapacityExceededError when the channel holds fewer than k."""
+    carrier = as_carrier(carrier, channel)
+    slots = CHANNELS[channel].slots(carrier)
+    if k > len(slots):
+        raise CapacityExceededError(
+            f"payload needs {k} bits but the {channel.value} channel holds {len(slots)}"
+        )
+    return carrier, slots[:k]
 
 
 def embed(carrier, channel: ChannelId, payload: BitSequence):
@@ -292,19 +294,13 @@ def embed(carrier, channel: ChannelId, payload: BitSequence):
     Slots beyond the payload are unchanged. An ASCII-sourced StlModel given
     to a text channel is serialized canonically first.
     """
-    spec = CHANNELS[channel]
-    carrier = as_carrier(carrier, channel)
-    slots = spec.slots(carrier)
-    _check_capacity(channel, len(payload), len(slots))
-    return spec.write(carrier, slots[: len(payload)], payload)
+    carrier, slots = _first_slots(carrier, channel, len(payload))
+    return CHANNELS[channel].write(carrier, slots, payload)
 
 
 def extract(carrier, channel: ChannelId, k: int) -> BitSequence:
     """Extract k bits from any channel; mirrors embed."""
     if k < 0:
         raise ValueError(f"bit count must be >= 0, got {k}")
-    spec = CHANNELS[channel]
-    carrier = as_carrier(carrier, channel)
-    slots = spec.slots(carrier)
-    _check_capacity(channel, k, len(slots))
-    return BitSequence(spec.read(carrier, slots[:k]))
+    carrier, slots = _first_slots(carrier, channel, k)
+    return BitSequence(CHANNELS[channel].read(carrier, slots))

@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import os
 import random
-import secrets
 import struct
 import weakref
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 
@@ -35,18 +33,19 @@ def _urandom_words() -> tuple[int, ...]:
 
 
 class RandomSource:
-    """Randomness supply for the scrubbers.
+    """Randomness supply for the scrubbers and payloads.
 
     crypto() draws from the OS entropy pool and is the only mode suitable
     for real use. seeded() is deterministic, for reproducible experiments
-    and tests; never wire it into a default code path. A seeded source's
-    randbelow is its generator's randrange, which the tests pin.
+    and tests; never wire it into a default code path.
 
-    The passes draw through randbelow_many, one call per pass. A seeded
-    source runs _lemire32 over 32-bit words of its own generator there, a
-    stream of its own, not randrange's; a crypto source still calls
-    randbelow once per bound, in order, so that a wrapper on randbelow
-    sees every draw.
+    One rule holds for both sources: every bound lies in [1, 2**32], and
+    randbelow and randbelow_many raise ValueError for any other. A seeded
+    source has one stream, _lemire32 over 32-bit words of its generator;
+    its randbelow(n) is randbelow_many([n]). A crypto source's
+    randbelow_many calls randbelow once per bound, in order, only because
+    perfbench's tracer counts draws by wrapping randbelow; that branch goes
+    when the count moves to randbelow_many (ROADMAP items 2 and 4).
 
     A crypto source maps each 64-bit word x read from os.urandom to
     (x * n) >> 64, rejecting the words whose low 64 bits of x * n fall
@@ -73,14 +72,11 @@ class RandomSource:
         return cls(random.Random(seed))
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        rng = self._rng
-        if rng is not None:
-            return rng.randrange(index(n))
-        if not 0 < n <= 1 << 64:
-            if n <= 0:
-                raise ValueError(f"empty range for randrange({n})")
-            return secrets.randbelow(n)
+        """Uniform integer in [0, n), n in [1, 2**32]."""
+        if not 0 < n <= 1 << 32:
+            raise ValueError("bounds must lie in [1, 2**32]")
+        if self._rng is not None:
+            return int(self.randbelow_many([n])[0])
         while True:
             for word in self._words:
                 product = word * n
@@ -93,8 +89,12 @@ class RandomSource:
     def randbelow_many(self, bounds) -> np.ndarray:
         """Uniform integers in [0, b) for each b of bounds, each in [1, 2**32],
         as an int64 array."""
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if len(bounds) and not (bounds.min() >= 1 and bounds.max() <= 1 << 32):
+        # no dtype here: a bound past int64 or a float is refused below, not
+        # an OverflowError or a truncation
+        bounds = np.asarray(bounds)
+        if len(bounds) and not (
+            bounds.dtype.kind in "iu" and bounds.min() >= 1 and bounds.max() <= 1 << 32
+        ):
             raise ValueError("bounds must lie in [1, 2**32]")
         if self._rng is None:
             draw = self.randbelow

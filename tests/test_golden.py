@@ -63,12 +63,12 @@ def test_icosphere_records(subdivisions):
 
 
 EMBED_GOLDEN = {
-    ChannelId.FACET: "8e201ec0c50306a6",
-    ChannelId.VERTEX: "67face780d4c5e74",
-    ChannelId.NORMAL: "69d9a61755f9eb32",
-    ChannelId.NUMBER: "b8e05476a92bd75f",
-    ChannelId.WHITESPACE: "142c1f21911df620",
-    ChannelId.ROBUST_PAIR: "a9b95c5ece66ecf0",
+    ChannelId.FACET: "e50001063dbd44f4",
+    ChannelId.VERTEX: "c3b926e8e1a7afd2",
+    ChannelId.NORMAL: "d5ca09cbebab2470",
+    ChannelId.NUMBER: "b5a1271d9a7045b4",
+    ChannelId.WHITESPACE: "96dd862e71e91bdb",
+    ChannelId.ROBUST_PAIR: "b16d842a61e1c2b4",
 }
 
 
@@ -81,12 +81,12 @@ def test_seeded_embed(channel, carrier):
 
 
 EXPERIMENT_GOLDEN = {
-    ChannelId.FACET: "f788bc9ff6dcba9e",
-    ChannelId.VERTEX: "196b0a798f97bfdc",
-    ChannelId.NORMAL: "b04183ff1e28ac6a",
-    ChannelId.NUMBER: "b04183ff1e28ac6a",
-    ChannelId.WHITESPACE: "b04183ff1e28ac6a",
-    ChannelId.ROBUST_PAIR: "c9c9882d91d3c86f",
+    ChannelId.FACET: "f32271b15534fdd8",
+    ChannelId.VERTEX: "b93190dd45efb66e",
+    ChannelId.NORMAL: "4b354ab501082771",
+    ChannelId.NUMBER: "4b354ab501082771",
+    ChannelId.WHITESPACE: "4b354ab501082771",
+    ChannelId.ROBUST_PAIR: "d8c1e39ade44162a",
 }
 
 
