@@ -13,7 +13,8 @@ class StlParseError(StlStegoError):
 
 
 class UnrecognizedFormatError(StlStegoError):
-    """Input is neither well-formed ASCII STL nor plausible binary STL."""
+    """Input is neither ASCII text that opens with the `solid` line nor a
+    binary STL whose length is 84 + 50 * its facet count."""
 
 
 class CapacityExceededError(StlStegoError):

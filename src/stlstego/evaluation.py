@@ -183,7 +183,8 @@ def _bin_counts(by_label: dict) -> dict[int | None, Counter]:
     }
 
 
-def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
+def _render_chart(x0, title, series) -> list[str]:
+    width, height = 420, 260
     colors = {None: "#4878a8", 0: "#4878a8", 1: "#d0804a"}
     all_bins = sorted({b for counter in series.values() for b in counter})
     parts = [
@@ -195,7 +196,7 @@ def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
     peak = max(max(c.values()) for c in series.values() if c)
     plot_h, base_y, pad = height - 70, height - 40, 8
     bin_w = (width - 2 * pad) / nbins
-    bar_w = bin_w / max(len(series), 1)
+    bar_w = bin_w / len(series)
     for s_idx, (label, counter) in enumerate(sorted(series.items(), key=lambda kv: str(kv[0]))):
         name = "all" if label is None else f"payload_{label}"
         for b, count in sorted(counter.items()):
@@ -204,7 +205,7 @@ def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
             y = base_y - bar_h
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{max(bar_w - 1, 1):.1f}" '
-                f'height="{bar_h:.1f}" fill="{colors.get(label, "#888")}" '
+                f'height="{bar_h:.1f}" fill="{colors[label]}" '
                 f'data-series="{name}" data-bin="{b}" data-count="{count}"/>'
             )
             parts.append(
@@ -222,7 +223,7 @@ def _render_chart(x0, title, series, width=420, height=260) -> list[str]:
         for s_idx, label in enumerate(sorted(series, key=str)):
             parts.append(
                 f'<rect x="{x0 + pad + s_idx * 90:.0f}" y="{height - 18}" width="10" '
-                f'height="10" fill="{colors.get(label, "#888")}"/>'
+                f'height="10" fill="{colors[label]}"/>'
             )
             parts.append(
                 f'<text x="{x0 + pad + s_idx * 90 + 14:.0f}" y="{height - 9}" '
@@ -308,8 +309,8 @@ def statistical_gates(channel: ChannelId, stats: SurvivalStats) -> list[Gate]:
     elif channel is ChannelId.VERTEX:
         gates.append(_range_gate("mean survival pct", stats.mean_pct, *VERTEX_MEAN_RANGE))
         for value, target in ((1, VERTEX_VALUE1_TARGET), (0, VERTEX_VALUE0_TARGET)):
-            series = stats.per_bit_by_value.get(value)
-            if series is not None and len(series):
+            series = stats.per_bit_by_value[value]
+            if len(series):  # a payload need not hold both values
                 mean = float(np.mean(series))
                 gates.append(
                     _range_gate(

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import StlParseError
 from .floatfmt import parse_float32s
 from .model import StlModel, coords
-from .stl_io import _FACET_GRAMMAR, _HEAD, _last_line_start, parse_ascii
+from .stl_io import _FACET_GRAMMAR, _HEAD, parse_ascii
 
 # Where the indent slots are. It accepts nothing; parse_ascii does that.
 _INDENT = re.compile(r"^(?=[^\S\n]*\S)[ \t]+", re.M)
@@ -75,7 +75,9 @@ def _scan_slots(text: str, facets: int) -> tuple[np.ndarray, np.ndarray]:
     """Number and indent spans of a text the facet scanner accepts, which
     holds `facets` facets."""
     lo = _HEAD.match(text).end()  # the LF that ends the `solid` line
-    hi = _last_line_start(text) - 1  # the LF before the `endsolid` line
+    # the LF before the `endsolid` line, which holds the text's last
+    # `endsolid`: number tokens are numbers, and only whitespace follows it
+    hi = text.rfind("\n", 0, text.rfind("endsolid"))
     numbers = np.empty((12 * facets, 2), dtype=np.int64)
     indents = [_regex_indents(text, 0, lo)]
     filled = 0

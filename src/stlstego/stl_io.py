@@ -36,9 +36,8 @@ def detect_format(data: bytes) -> StlFormat:
     """Classify raw bytes as ASCII or binary STL, from the bytes alone.
 
     The bytes claim ASCII when they are ASCII text that opens with the
-    grammar's `solid` line and whose last non-blank line starts with the
-    token `endsolid`; every text parse_ascii accepts does. They claim
-    binary when they satisfy len == 84 + 50 * count. A single claim
+    grammar's `solid` line, as every text parse_ascii accepts does. They
+    claim binary when they satisfy len == 84 + 50 * count. A single claim
     decides, whether or not the bytes then parse under it. Bytes that make
     both claims are ASCII iff the facet scanner accepts them, the one case
     that parses here. Bytes that make neither raise UnrecognizedFormatError.
@@ -46,14 +45,12 @@ def detect_format(data: bytes) -> StlFormat:
     if not data:
         raise UnrecognizedFormatError("empty input")
     text = _solid_text(data)
-    # str.split() splits on what the scanner's \s matches, \x1c-\x1f included
-    is_ascii = text is not None and text[_last_line_start(text):].split(None, 1)[0] == "endsolid"
     is_binary = len(data) >= 84 and len(data) == 84 + 50 * struct.unpack_from("<I", data, 80)[0]
-    if is_ascii and is_binary:  # all-ASCII and length-consistent: the grammar decides
+    if text is not None and is_binary:  # all-ASCII and length-consistent: the grammar decides
         is_binary = _scan_facets(text) is None
     if is_binary:
         return StlFormat.BINARY
-    if is_ascii:
+    if text is not None:
         return StlFormat.ASCII
     raise UnrecognizedFormatError(
         "input is neither well-formed ASCII STL nor a length-consistent binary STL"
@@ -67,18 +64,6 @@ def _solid_text(data: bytes) -> str | None:
         return None
     text = data.decode("ascii")
     return text if _HEAD.match(text) else None
-
-
-def _last_line_start(text: str) -> int:
-    """Offset of the last line of text that holds a non-whitespace
-    character. text must hold one, as every text _HEAD matches does."""
-    # walking back line by line spares the copy text.rstrip() would make
-    end = len(text)
-    while True:
-        start = text.rfind("\n", 0, end) + 1
-        if _NON_SPACE.search(text, start, end):
-            return start
-        end = start - 1
 
 
 def ascii_statements(text: str):
@@ -268,24 +253,18 @@ def parse_binary(data: bytes) -> StlModel:
 def parse_bytes(data: bytes) -> StlModel:
     """Detect the format of raw bytes and parse them, ASCII text once.
 
-    Bytes that detect_format classifies as ASCII, and ASCII text that opens
-    with `solid` but has no `endsolid` tail, raise the StlParseError naming
-    the offending line when the grammar rejects them.
+    One rule: detect_format picks the format, then that format's reader
+    runs. Bytes it classifies as ASCII raise the StlParseError naming the
+    offending line when the grammar rejects them.
     """
     return read_stl(data, parse_ascii)
 
 
 def read_stl(data: bytes, read_ascii):
-    """parse_bytes with read_ascii(text) in place of parse_ascii: the
-    format rule, the errors and the one read of ASCII text are the same."""
-    try:
-        fmt = detect_format(data)
-    except UnrecognizedFormatError:
-        text = _solid_text(data)
-        if text is None:
-            raise
-        return read_ascii(text)  # raises: the text has no `endsolid` tail
-    if fmt is StlFormat.ASCII:
+    """parse_bytes with read_ascii(text) in place of parse_ascii: the one
+    format rule, detect_format, picks the reader, and the errors and the
+    one read of ASCII text are the same."""
+    if detect_format(data) is StlFormat.ASCII:
         return read_ascii(data.decode("ascii"))
     return parse_binary(data)
 

@@ -77,6 +77,13 @@ def tagged_model(n: int) -> StlModel:
     return model_from_facets("tagged", tuple(facets))
 
 
+def pytest_report_collectionfinish(config, start_path, items):
+    """The chance budget: the summed odds that the collected tests marked
+    chance(alpha), the unseeded ones, fail a correct tree."""
+    rates = [mark.args[0] for item in items for mark in item.iter_markers("chance")]
+    return f"chance budget: {sum(rates):.1e} over {len(rates)} unseeded tests"
+
+
 @pytest.fixture(scope="session")
 def icosphere4() -> StlModel:
     return generate_test_mesh(4)

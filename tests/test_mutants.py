@@ -3,10 +3,17 @@
 Each mutant stands in for a pass through monkeypatch and must fail the same
 check that the real pass passes, so the check is shown to see the leak.
 """
-import numpy as np
+from collections import Counter
+from itertools import permutations
 
+import numpy as np
+import pytest
+from scipy.stats import chisquare
+
+from conftest import tagged_model
 from stlstego import RandomSource
 from stlstego import sanitize
+from stlstego.model import coords, rotate
 
 # A uniform shuffle leaves Poisson(1) facets in place: more than 10 has odds
 # near 1e-8. Seeds 1-20 leave 0-3 on the 5,120 facets of ico-4.
@@ -42,3 +49,88 @@ def test_a_shuffle_that_keeps_a_prefix_fails(monkeypatch, icosphere4):
     # 40 facets kept on ico-4, each seed reads 40-42
     monkeypatch.setattr(sanitize, "sanitize_facet_channel", keep_a_prefix)
     assert min(facets_left_in_place(icosphere4, seed) for seed in SEEDS) > MAX_IN_PLACE
+
+
+# A detector passes a pass when its chi-square p-value exceeds this on every
+# seed: a uniform pass fails it on some seed of five at odds near 5e-6.
+MIN_P = 1e-6
+CENSUS_DRAWS = 2400
+
+
+def permutation_census(seed: int) -> list[int]:
+    """How often each of the 24 orders of a 4-facet model comes out of
+    CENSUS_DRAWS facet passes on one seeded source, in a fixed order."""
+    model = tagged_model(4)
+    rng = RandomSource.seeded(seed)
+    counts = Counter(
+        tuple(sanitize.sanitize_facet_channel(model, rng).records["attr"].tolist())
+        for _ in range(CENSUS_DRAWS)
+    )
+    return [counts[order] for order in permutations(range(4))]
+
+
+def shuffle_is_uniform(seed: int) -> bool:
+    counts = permutation_census(seed)
+    return min(counts) > 0 and chisquare(counts).pvalue > MIN_P
+
+
+def rotation_states(model, seed: int) -> list[int]:
+    """How many facets the vertex pass leaves in each of the three cyclic
+    rotations of their vertex list: unchanged, (b, c, a) and (c, a, b)."""
+    out = sanitize.sanitize_vertex_channel(model, RandomSource.seeded(seed)).vertices
+    return [
+        int(np.count_nonzero((out == rotate(model.vertices, np.full(len(model), k))).all(axis=(1, 2))))
+        for k in range(3)
+    ]
+
+
+def rotation_is_uniform(model, seed: int) -> bool:
+    return chisquare(rotation_states(model, seed)).pvalue > MIN_P
+
+
+def sattolo(model, rng):
+    """A leaky shuffle: Sattolo's algorithm, j in [0, i) in place of
+    [0, i], which makes only cyclic permutations."""
+    n = len(model)
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), rng.randbelow_many(np.arange(n - 1, 0, -1)).tolist()):
+        order[i], order[j] = order[j], order[i]
+    return model.take(np.array(order, dtype=np.intp))
+
+
+def keep_the_middle(model, rng):
+    """A leaky shuffle: facet n // 2 stays where it is, the rest are
+    permuted by sorting random keys."""
+    n = len(model)
+    rest = np.delete(np.arange(n), n // 2)
+    rest = rest[np.argsort(rng.randbelow_many(np.full(n - 1, 1 << 32)), kind="stable")]
+    return model.take(np.insert(rest, n // 2, n // 2))
+
+
+def rotation_biased_to_none(model, rng):
+    """A leaky vertex pass: the vertex list stays as it is with probability
+    2/5, and takes each of the two turns with probability 3/10."""
+    start = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 2])[rng.randbelow_many(np.full(len(model), 10))]
+    records = model.records.copy()
+    coords(records)[:, 1:] = rotate(model.vertices, start)
+    return model.with_records(records)
+
+
+def test_the_facet_pass_draws_every_order_evenly():
+    assert all(shuffle_is_uniform(seed) for seed in SEEDS)
+
+
+@pytest.mark.parametrize("mutant", [sattolo, keep_the_middle])
+def test_a_shuffle_that_misses_orders_fails(monkeypatch, mutant):
+    # on 4 facets each makes 6 of the 24 orders
+    monkeypatch.setattr(sanitize, "sanitize_facet_channel", mutant)
+    assert not any(shuffle_is_uniform(seed) for seed in SEEDS)
+
+
+def test_the_vertex_pass_turns_evenly(icosphere4):
+    assert all(rotation_is_uniform(icosphere4, seed) for seed in SEEDS)
+
+
+def test_a_rotation_biased_to_no_turn_fails(monkeypatch, icosphere4):
+    monkeypatch.setattr(sanitize, "sanitize_vertex_channel", rotation_biased_to_none)
+    assert not any(rotation_is_uniform(icosphere4, seed) for seed in SEEDS)

@@ -532,6 +532,7 @@ class TestCryptoDraws:
             os.waitpid(pid, 0)
         assert len(set(children) | {next_words()}) == 3
 
+    @pytest.mark.chance(1e-4)
     @pytest.mark.parametrize("n", [3, 7])
     def test_crypto_draws_are_uniform(self, n):
         # chi-square goodness of fit; alpha 1e-4 per bound

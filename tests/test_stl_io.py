@@ -60,10 +60,12 @@ class TestDetectFormat:
         data = b"\x00" * 80 + struct.pack("<I", 0)
         assert detect_format(data) is StlFormat.BINARY
 
-    def test_truncated_ascii_is_unrecognized(self):
+    def test_truncated_ascii_is_ascii(self):
+        # the `solid` head alone claims ASCII; the grammar then names the line
         truncated = LUCY_TEXT.encode()[:150]
-        with pytest.raises(UnrecognizedFormatError):
-            detect_format(truncated)
+        assert detect_format(truncated) is StlFormat.ASCII
+        with pytest.raises(StlParseError, match=r"^line 6: "):
+            parse_bytes(truncated)
 
     def test_empty_input(self):
         with pytest.raises(UnrecognizedFormatError):
@@ -715,3 +717,11 @@ def test_byte_level_detection_keeps_the_read_path_on_mutated_seeds():
         assert getattr(carrier, "model", carrier) == expected, text
         if isinstance(expected, StlModel):
             assert detect_format(data) is expected.source_format, text
+        # one rule: parse_bytes is detect_format, then that format's reader
+        fmt = _outcome(detect_format, data)
+        if fmt is StlFormat.ASCII:
+            assert expected == _outcome(parse_ascii, text), text
+        elif fmt is StlFormat.BINARY:
+            assert expected == _outcome(parse_binary, data), text
+        else:
+            assert fmt is expected is UnrecognizedFormatError, text
