@@ -5,50 +5,53 @@ import numpy as np
 
 
 class BitSequence:
-    """An ordered, immutable sequence of 0/1 values."""
+    """An ordered, immutable sequence of 0/1 values in one read-only uint8
+    array, which np.asarray(seq) returns. np.array of the input must be 1-d
+    with every value 0 or 1, else ValueError: [0.7], "1" and 2-d arrays are not bits."""
 
     __slots__ = ("_bits",)
 
     def __init__(self, bits=()):
-        if isinstance(bits, np.ndarray) and bits.dtype == np.uint8 and bits.ndim == 1:
-            if bits.size and bits.max() > 1:
-                raise ValueError("bits must be 0 or 1")
-            self._bits = tuple(bits.tolist())
-            return
-        data = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in data):
+        # an iterator is read into a list: np.array would hold it as one object
+        array = np.array(list(bits) if hasattr(bits, "__next__") else bits)
+        if array.ndim != 1 or not ((array == 0) | (array == 1)).all():
             raise ValueError("bits must be 0 or 1")
-        self._bits = data
+        self._bits = array.astype(np.uint8, copy=False)
+        self._bits.flags.writeable = False
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._bits, dtype=dtype, copy=copy)
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return self._bits
+        return tuple(self._bits.tolist())
 
     def __len__(self) -> int:
         return len(self._bits)
 
     def __iter__(self):
-        return iter(self._bits)
+        return iter(self._bits.tolist())
 
     def __getitem__(self, index):
-        return self._bits[index]
+        # a slice is a tuple, as .bits is; an index reads the array in O(1)
+        return self.bits[index] if isinstance(index, slice) else int(self._bits[index])
 
     def __eq__(self, other):
         if isinstance(other, BitSequence):
-            return self._bits == other._bits
+            return np.array_equal(self._bits, other._bits)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._bits)
+        return hash(self.bits)
 
     def __repr__(self):
-        head = "".join(map(str, self._bits[:64]))
+        head = "".join(map(str, self._bits[:64].tolist()))
         if len(self._bits) > 64:
             head += "..."
         return f"BitSequence({len(self._bits)}: {head})"
 
     def complement(self) -> "BitSequence":
-        return BitSequence(1 - b for b in self._bits)
+        return BitSequence(1 - self._bits)
 
     @classmethod
     def from_bytes(cls, data: bytes, length: int | None = None) -> "BitSequence":
@@ -66,10 +69,10 @@ class BitSequence:
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first, zero-padding the final partial byte."""
-        return np.packbits(np.array(self._bits, dtype=np.uint8)).tobytes()
+        return np.packbits(self._bits).tobytes()
 
     @classmethod
     def random(cls, length: int, rng) -> "BitSequence":
         """Draw `length` bits from rng, any object with randbelow_many(bounds),
         in one call: a seeded RandomSource reads one word per bit."""
-        return cls(rng.randbelow_many(np.full(length, 2)).astype(np.uint8))
+        return cls(rng.randbelow_many(np.full(length, 2)))

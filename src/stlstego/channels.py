@@ -62,10 +62,6 @@ class ChannelId(enum.Enum):
     ROBUST_PAIR = "robust-pair"
 
 
-def _bits(bits) -> np.ndarray:
-    return np.fromiter(bits, dtype=bool, count=len(bits))
-
-
 def _usable_indices(model: StlModel) -> np.ndarray:
     return np.flatnonzero(~model.degenerate)
 
@@ -109,7 +105,7 @@ def _read_order(model: StlModel, runs) -> np.ndarray:
 def _write_order(model: StlModel, runs, bits) -> StlModel:
     """Swap the two halves of each run whose bit differs; nothing crosses run
     boundaries, so the other runs read as before."""
-    runs = runs[_read_order(model, runs) != _bits(bits)]
+    runs = runs[_read_order(model, runs) != np.asarray(bits, dtype=bool)]
     half = runs.shape[1] // 2
     order = np.arange(len(model))
     order[runs[:, :half]] = runs[:, half:]
@@ -127,7 +123,7 @@ def _write_vertex(model: StlModel, indices, bits) -> StlModel:
     """Bit 1 lists the largest vertex first, bit 0 the smallest: the
     rotation that Python's max or min picks among the three."""
     largest = extreme_rotation(model.vertices[indices], 1)
-    chosen = np.where(_bits(bits)[:, None], largest, model.geometry_keys[indices])
+    chosen = np.where(np.asarray(bits, dtype=bool)[:, None], largest, model.geometry_keys[indices])
     records = model.records.copy()
     coords(records)[indices, 1:] = chosen.reshape(-1, 3, 3)
     return model.with_records(records)
@@ -147,7 +143,7 @@ def _write_normal(model: StlModel, indices, bits) -> StlModel:
     n = rhr_normals(model.vertices[indices])[0]
     records = model.records.copy()
     # 0 - n, not -n: a zero component stays +0.0
-    coords(records)[indices, 0] = np.where(_bits(bits)[:, None], np.float32(0) - n, n)
+    coords(records)[indices, 0] = np.where(np.asarray(bits, dtype=bool)[:, None], np.float32(0) - n, n)
     return model.with_records(records)
 
 
@@ -165,7 +161,7 @@ def _write_number(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     notation; the document's splice reads the new tokens back in one
     parse_float32s call.
     """
-    bits = _bits(bits)
+    bits = np.asarray(bits, dtype=bool)
     changed = np.flatnonzero(_read_number(doc, spans) != bits)
     values = coords(doc.model.records).reshape(-1)[changed]
     scientific = bits[changed]
@@ -185,7 +181,7 @@ def _write_whitespace(doc: RawAsciiDocument, spans, bits) -> RawAsciiDocument:
     An indent holds only spaces and tabs, so it differs from its target
     exactly when it holds the other character.
     """
-    bits = _bits(bits)
+    bits = np.asarray(bits, dtype=bool)
     changed = np.flatnonzero(
         np.where(bits, doc.spans_holding(spans, " "), doc.spans_holding(spans, "\t"))
     )

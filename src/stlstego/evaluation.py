@@ -111,7 +111,7 @@ def run_trial(
     embedded = embed(cfg.carrier, cfg.channel, payload)
     scrubbed = CHANNELS[cfg.channel].scrub(embedded, rng)
     extracted = extract(scrubbed, cfg.channel, len(payload))
-    survived = np.array(extracted.bits, dtype=np.int8) == np.array(payload.bits, dtype=np.int8)
+    survived = np.asarray(extracted) == np.asarray(payload)
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
@@ -150,7 +150,7 @@ def compute_stats(matrix: SurvivalMatrix, arrangement_rows=None) -> SurvivalStat
         raise ValueError(f"a survival matrix needs a trial and a bit, got shape {cells.shape}")
     per_trial = cells.mean(axis=1) * 100.0
     per_bit = cells.mean(axis=0) * 100.0
-    payload = np.asarray(matrix.payload.bits)
+    payload = np.asarray(matrix.payload, dtype=np.int64)  # signed: 1 - payload must not wrap
     extracted = np.where(cells, payload, 1 - payload)
     drift = extracted.sum(axis=1) - int(payload.sum())
     arrangement_mean = None

@@ -53,7 +53,8 @@ def detect_format(data: bytes) -> StlFormat:
     if text is not None:
         return StlFormat.ASCII
     raise UnrecognizedFormatError(
-        "input is neither well-formed ASCII STL nor a length-consistent binary STL"
+        "input is neither ASCII text that opens with the `solid` line"
+        " nor a binary STL whose length is 84 + 50 * its facet count"
     )
 
 

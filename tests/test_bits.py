@@ -73,3 +73,21 @@ def test_uint8_arrays_hold_plain_ints_and_are_checked():
     assert BitSequence(np.zeros(0, dtype=np.uint8)).bits == ()
     with pytest.raises(ValueError):
         BitSequence(np.array([0, 2], dtype=np.uint8))
+
+
+
+def test_the_constructor_takes_any_list_or_array_of_0_and_1_in_one_dimension():
+    not_bits = [[0.7], [1.9], "1", np.zeros((2, 2), dtype=np.uint8), np.array([2], dtype=np.uint8)]
+    for bits in not_bits:
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            BitSequence(bits)
+    for kind in (bool, int, float):
+        values = [kind(b) for b in (1, 0, 1, 1)]
+        for bits in (values, np.array(values)):
+            seq = BitSequence(bits)
+            assert seq.bits == (1, 0, 1, 1) and all(type(b) is int for b in seq.bits)
+            array = np.asarray(seq)
+            assert array.dtype == np.uint8 and not array.flags.writeable
+    from_array = BitSequence(np.array([1, 0, 1], dtype=np.uint8))
+    assert from_array == BitSequence((1, 0, 1))
+    assert hash(from_array) == hash(BitSequence((1, 0, 1)))

@@ -13,7 +13,9 @@ from scipy.stats import chisquare
 from conftest import tagged_model
 from stlstego import RandomSource
 from stlstego import sanitize
-from stlstego.model import coords, rotate
+from stlstego.channels import CHANNELS, ChannelId
+from stlstego.model import coords, rhr_normals, rotate
+from zoo import dirty_export
 
 # A uniform shuffle leaves Poisson(1) facets in place: more than 10 has odds
 # near 1e-8. Seeds 1-20 leave 0-3 on the 5,120 facets of ico-4.
@@ -134,3 +136,86 @@ def test_the_vertex_pass_turns_evenly(icosphere4):
 def test_a_rotation_biased_to_no_turn_fails(monkeypatch, icosphere4):
     monkeypatch.setattr(sanitize, "sanitize_vertex_channel", rotation_biased_to_none)
     assert not any(rotation_is_uniform(icosphere4, seed) for seed in SEEDS)
+
+
+def unturned_when_v1_is_largest(model, rng):
+    """A leaky vertex pass: a facet whose first vertex is its largest, the
+    vertex channel's bit 1, keeps its vertex list; the others turn as the
+    real pass turns them."""
+    start = rng.randbelow_many(np.full(len(model), 3))
+    start[CHANNELS[ChannelId.VERTEX].read(model, np.arange(len(model))) == 1] = 0
+    records = model.records.copy()
+    coords(records)[:, 1:] = rotate(model.vertices, start)
+    return model.with_records(records)
+
+
+def test_a_rotation_that_reads_the_payload_fails(monkeypatch, icosphere4):
+    # about a third of ico-4's facets list their largest vertex first, so
+    # the census reads near [2830, 1140, 1150] against 1707 each
+    monkeypatch.setattr(sanitize, "sanitize_vertex_channel", unturned_when_v1_is_largest)
+    assert not any(rotation_is_uniform(icosphere4, seed) for seed in SEEDS)
+
+
+REAL_NORMAL_PASS = sanitize.sanitize_normal_channel
+
+
+def keep_zero_area_normals(model):
+    """A leaky normal pass: a zero-area facet keeps its stored normal."""
+    normals, nonzero = rhr_normals(model.vertices)
+    records = model.records.copy()
+    coords(records)[:, 0] = np.where(nonzero[:, None], normals, model.normals)
+    records["attr"] = 0
+    return model.with_records(records)
+
+
+def keep_the_first_word(model):
+    """A leaky normal pass: the first facet keeps its attribute word."""
+    records = REAL_NORMAL_PASS(model).records.copy()
+    records["attr"][0] = model.records["attr"][0]
+    return model.with_records(records)
+
+
+def zero_area_normals_are_zero(model) -> bool:
+    out = sanitize.sanitize_normal_channel(model)
+    return not out.normals[~rhr_normals(out.vertices)[1]].any()
+
+
+def attribute_words_are_zero(model) -> bool:
+    return not sanitize.sanitize_normal_channel(model).records["attr"].any()
+
+
+def zero_area_facets_with_normals(seed: int):
+    """dirty_export's model with a unit normal stored on each zero-area
+    facet: the export itself stores zero normals there, which a pass that
+    keeps them leaves zero too."""
+    model = dirty_export(seed)[0]
+    records = model.records.copy()
+    coords(records)[~rhr_normals(model.vertices)[1], 0] = (0, 0, 1)
+    return model.with_records(records)
+
+
+def nonzero_words(model):
+    """model with attribute words 1, 2, ...: the first facet's word is 0 in
+    tagged_model and in dirty_export seeds 2 and 3, where a pass that keeps
+    it leaks nothing to see."""
+    records = model.records.copy()
+    records["attr"] = np.arange(1, len(model) + 1)
+    return model.with_records(records)
+
+
+NORMAL_SEEDS = range(1, 4)
+
+
+def test_the_normal_pass_zeroes_zero_area_normals_and_every_word(icosphere2):
+    assert all(zero_area_normals_are_zero(zero_area_facets_with_normals(seed)) for seed in NORMAL_SEEDS)
+    assert attribute_words_are_zero(nonzero_words(icosphere2))
+
+
+def test_a_normal_pass_that_keeps_zero_area_normals_fails(monkeypatch):
+    monkeypatch.setattr(sanitize, "sanitize_normal_channel", keep_zero_area_normals)
+    assert not any(zero_area_normals_are_zero(zero_area_facets_with_normals(seed)) for seed in NORMAL_SEEDS)
+
+
+def test_a_normal_pass_that_keeps_the_first_word_fails(monkeypatch, icosphere2):
+    monkeypatch.setattr(sanitize, "sanitize_normal_channel", keep_the_first_word)
+    assert not attribute_words_are_zero(nonzero_words(icosphere2))

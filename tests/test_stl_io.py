@@ -241,6 +241,19 @@ class TestMalformedAsciiBytes:
         with pytest.raises(StlParseError, match=message):
             sanitize_all(truncated, RandomSource.seeded(1))
 
+    def test_the_format_error_names_the_one_rule(self):
+        # a UTF-8 solid name makes the text neither ASCII nor a binary length
+        text = write_canonical_ascii(generate_test_mesh(2))
+        data = b"solid caf\xc3\xa9\n" + text.encode("ascii").split(b"\n", 1)[1]
+        message = (
+            "input is neither ASCII text that opens with the `solid` line"
+            " nor a binary STL whose length is 84 + 50 * its facet count"
+        )
+        for reader in (parse_bytes, detect_format):
+            with pytest.raises(UnrecognizedFormatError) as raised:
+                reader(data)
+            assert str(raised.value) == message
+
     @pytest.mark.parametrize("data", [b"solid \xff\nendsolid\n", b"garbage", b"solidx 1\n"])
     def test_other_unreadable_bytes_stay_unrecognized(self, data):
         with pytest.raises(UnrecognizedFormatError):
