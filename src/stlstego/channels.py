@@ -211,7 +211,9 @@ class Channel:
 
 
 # The scrubbers are looked up when called, not bound here, so that a wrapper
-# installed on a sanitize function (a profiler, a test) sees these calls too.
+# (a profiler, a test) reaches evaluate's trials too, but only one that
+# replaces this module's own imported name. A wrapper installed on
+# stlstego.sanitize alone reaches only the passes that sanitize_model calls.
 # A text channel's scrubber is uniform re-serialization: the document's model
 # in its canonical text, which as_carrier makes.
 CHANNELS = {

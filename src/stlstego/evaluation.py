@@ -79,6 +79,7 @@ class SurvivalStats:
     mean_pct: float
     variance_pct2: float  # population variance of per-trial percentages
     per_bit_survival_pct: np.ndarray
+    payload: np.ndarray  # the payload bit at each position, int64
     per_bit_by_value: dict[int, np.ndarray]
     # extracted-ones minus payload-ones per trial; a codebook protocol keyed
     # on the global 0/1 balance survives only if this stays pinned near zero
@@ -98,17 +99,19 @@ def run_trial(
     cfg: TrialConfig,
     trial_index: int,
     payload: BitSequence | None = None,
+    embedded=None,
 ) -> TrialOutcome:
     """Embed, scrub, extract, and score one trial.
 
-    payload defaults to the seed-derived experiment payload; pass the same
-    object for every trial of an experiment.
+    payload defaults to the seed-derived experiment payload, and embedded
+    to the carrier with payload embedded in the channel; pass the same
+    objects for every trial of an experiment.
     """
     if payload is None:
         payload = BitSequence.random(cfg.payload_bits, _source(cfg, "payload"))
+    if embedded is None:
+        embedded = embed(cfg.carrier, cfg.channel, payload)
     rng = _source(cfg, "trial", trial_index)
-
-    embedded = embed(cfg.carrier, cfg.channel, payload)
     scrubbed = CHANNELS[cfg.channel].scrub(embedded, rng)
     extracted = extract(scrubbed, cfg.channel, len(payload))
     survived = np.asarray(extracted) == np.asarray(payload)
@@ -127,16 +130,18 @@ def run_trial(
 def run_experiment(cfg: TrialConfig) -> tuple[SurvivalMatrix, SurvivalStats]:
     """Run all trials with the same payload and independent randomness.
 
-    The carrier is turned into the channel's carrier kind once, here,
-    rather than by every trial's embed. A payload that does not fit raises
-    the channel's CapacityExceededError in the first trial.
+    The carrier is turned into the channel's carrier kind and the payload
+    embedded once, here; every trial scrubs that same embedded carrier. A
+    payload that does not fit raises the channel's CapacityExceededError
+    before the first trial.
     """
     cfg = replace(cfg, carrier=as_carrier(cfg.carrier, cfg.channel))
     payload = BitSequence.random(cfg.payload_bits, _source(cfg, "payload"))
+    embedded = embed(cfg.carrier, cfg.channel, payload)
     rows = np.zeros((cfg.trials, cfg.payload_bits), dtype=bool)
     arrangement_rows = []
     for t in range(cfg.trials):
-        outcome = run_trial(cfg, t, payload=payload)
+        outcome = run_trial(cfg, t, payload=payload, embedded=embedded)
         rows[t] = outcome.survived
         if outcome.arrangement_unchanged is not None:
             arrangement_rows.append(outcome.arrangement_unchanged)
@@ -163,6 +168,7 @@ def compute_stats(matrix: SurvivalMatrix, arrangement_rows=None) -> SurvivalStat
         mean_pct=float(per_trial.mean()),
         variance_pct2=float(per_trial.var()),
         per_bit_survival_pct=per_bit,
+        payload=payload,
         per_bit_by_value={value: per_bit[payload == value] for value in (0, 1)},
         arrangement_mean_pct=arrangement_mean,
         ones_drift_per_trial=drift,
@@ -282,7 +288,7 @@ class Gate:
     detail: str
 
 
-# Expected ranges for the scrubbed channels: survival must look like coin
+# Expected ranges for the randomized channels: survival must look like coin
 # flipping (the vertex channel's per-value split is the known 1/3 vs 2/3
 # bias of a two-state encoding over three rotation states).
 FACET_MEAN_RANGE = (48.5, 51.5)
@@ -296,6 +302,24 @@ ROBUST_MEAN_RANGE = (45.0, 55.0)
 
 def _range_gate(name: str, value: float, lo: float, hi: float) -> Gate:
     return Gate(name, lo <= value <= hi, f"{value:.3f} vs [{lo}, {hi}]")
+
+
+def _erased_gate(stats: SurvivalStats) -> Gate:
+    """Every slot reads 0 after the scrubber: each payload-0 bit survives
+    every trial and each payload-1 bit none, so per_bit_by_value[0].min() is
+    100 and per_bit_by_value[1].max() is 0 wherever that value occurs. The
+    detail names the first bit that breaks it."""
+    expected = np.where(stats.payload == 0, 100.0, 0.0)
+    broken = np.flatnonzero(stats.per_bit_survival_pct != expected)
+    if len(broken) == 0:
+        return Gate("every bit reads 0", True, f"all {len(expected)} bits in every trial")
+    i = int(broken[0])
+    return Gate(
+        "every bit reads 0",
+        False,
+        f"bit {i}, payload {stats.payload[i]}, survives "
+        f"{stats.per_bit_survival_pct[i]:.3f} %",
+    )
 
 
 def statistical_gates(channel: ChannelId, stats: SurvivalStats) -> list[Gate]:
@@ -322,4 +346,8 @@ def statistical_gates(channel: ChannelId, stats: SurvivalStats) -> list[Gate]:
                 )
     elif channel is ChannelId.ROBUST_PAIR:
         gates.append(_range_gate("mean survival pct", stats.mean_pct, *ROBUST_MEAN_RANGE))
+    else:
+        # normal, number and whitespace: the scrubber's output is fixed, the
+        # RHR normal, standard notation and space indents, which all read 0
+        gates.append(_erased_gate(stats))
     return gates

@@ -155,18 +155,58 @@ class SanitizeReport:
     format_written: StlFormat
 
 
+def _fisher_yates(n: int, draws: np.ndarray) -> np.ndarray:
+    """The order Fisher-Yates makes of range(n), computed without the swaps.
+
+    Step i, for i = n - 1 down to 1, swaps positions i and
+    j_i = draws[n - 1 - i] <= i, and no later step touches position i
+    again. So order[i] is what position j_i held just before step i: what
+    the nearest earlier step that also drew j_i moved there, or j_i itself
+    when no earlier step drew it. What step k moved is what position k held
+    just before step k, found the same way, so it is the root of a chain of
+    steps whose indices only increase (Shun, Gu, Blelloch, Fineman and
+    Gibbons, SODA 2015). One sort of the keys (j << b) | i groups the steps
+    by j in index order, and pointer doubling resolves the chains. Position
+    0 is read as a step 0 that draws 0. Keys are uint64, so every n below
+    2**32 fits.
+    """
+    b = np.uint64(n.bit_length())
+    drawn = np.zeros(n, dtype=np.uint64)
+    drawn[:0:-1] = draws
+    keys = np.sort((drawn << b) | np.arange(n, dtype=np.uint64))
+    # one sentinel past the last key: step n, in no group
+    step = np.append((keys & ((np.uint64(1) << b) - np.uint64(1))).astype(np.intp), n)
+    group = np.append((keys >> b).astype(np.intp), -1)
+    # later[i]: the next step by index that drew j_i, n when none did
+    later = np.empty(n + 1, dtype=np.intp)
+    later[step] = np.append(np.where(group[1:] == group[:-1], step[1:], n), n)
+    # root[k] starts as the first step of k's group, k when the group is
+    # empty, and doubling makes it what step k moved. Steps that draw k have
+    # index k or more, so the first is the next step after k that drew k,
+    # unless it is step k itself. That root is never read: no step's later
+    # step drew its own index
+    first = np.flatnonzero(np.diff(group[:-1], prepend=-1))
+    root = np.arange(n + 1)
+    root[group[first]] = step[first]
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    later = later[:-1]
+    return np.where(later < n, root[later], drawn.astype(np.intp))
+
+
 def sanitize_facet_channel(model: StlModel, rng: RandomSource) -> StlModel:
     """Shuffle the facet list into a uniformly random permutation.
 
     Fisher-Yates: walk i from the end, swap position i with a random
-    position j in [0, i]. Facet contents are untouched.
+    position j in [0, i]. The draws are taken in that order, and
+    _fisher_yates computes the permutation they make without walking the
+    swaps. Facet contents are untouched.
     """
     n = len(model)
-    order = list(range(n))
-    draws = rng.randbelow_many(np.arange(n, 1, -1)).tolist()
-    for i, j in zip(range(n - 1, 0, -1), draws):
-        order[i], order[j] = order[j], order[i]
-    return model.take(np.array(order, dtype=np.intp))
+    return model.take(_fisher_yates(n, rng.randbelow_many(np.arange(n, 1, -1))))
 
 
 def sanitize_vertex_channel(model: StlModel, rng: RandomSource) -> StlModel:

@@ -6,9 +6,10 @@ the degeneracy test, spelled out on `Facet` values and Python tuple
 comparison. Also facet comparison and canonical rotation, the helpers the
 tests build models with, MSB-first bit packing byte by byte, the number
 token grammar character by character, and the float32 nearest a number
-token in exact rational arithmetic. The package works on whole columns
-instead (`stlstego.model`, `stlstego.bits`, `stlstego.floatfmt`); these
-are the scalar statements it is checked against.
+token in exact rational arithmetic, and the Fisher-Yates order swap by
+swap. The package works on whole columns instead (`stlstego.model`,
+`stlstego.bits`, `stlstego.floatfmt`, `stlstego.sanitize`); these are the
+scalar statements it is checked against.
 """
 import enum
 import math
@@ -188,3 +189,12 @@ def nearest_float32(token: str, line: int | None = None) -> float:
     if steps * ulp >= 2**128:
         raise StlParseError(f"out of single-precision range: {token!r}", line)
     return math.copysign(float(steps * ulp), -1.0 if decimal.is_signed() else 1.0)
+
+
+def fisher_yates_order(n: int, draws) -> np.ndarray:
+    """The order Fisher-Yates makes of range(n), one swap at a time: step i,
+    for i = n - 1 down to 1, swaps positions i and draws[n - 1 - i]."""
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), list(draws)):
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=np.intp)

@@ -331,8 +331,8 @@ class TestEvaluate:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == stale
 
     def test_capacity_is_computed_once(self, carrier_ascii, tmp_path, monkeypatch):
-        # once per trial, by the check inside embed: neither the experiment
-        # nor a trial calls capacity() as well
+        # once per experiment, by the check inside its one embed: neither the
+        # experiment nor a trial calls capacity() as well
         calls = []
         original = channels.capacity
 

@@ -22,7 +22,7 @@ from stlstego import (
     sanitize_vertex_channel,
     statistical_gates,
 )
-from stlstego import capacity, channels, model
+from stlstego import capacity, channels, evaluation, model
 from stlstego.evaluation import derive_seed
 
 
@@ -95,21 +95,48 @@ def test_trial_rows_are_reproducible(small_carrier):
     assert not np.array_equal(a.survived, c.survived)
 
 
-def test_validation_rejects_bad_configs(small_carrier):
+def test_validation_rejects_bad_configs(small_carrier, monkeypatch):
     with pytest.raises(ValueError, match="trials"):
         TrialConfig(ChannelId.FACET, small_carrier, payload_bits=8, trials=0)
     with pytest.raises(ValueError, match="payload_bits"):
         TrialConfig(ChannelId.FACET, small_carrier, payload_bits=-1)
     with pytest.raises(ValueError, match="payload_bits"):
         TrialConfig(ChannelId.FACET, small_carrier, payload_bits=0, trials=1)
-    # capacity is the channel's own check, made by each trial's embed
+    # capacity is the channel's own check, made by the experiment's one
+    # embed before the first trial
     held = capacity(small_carrier, ChannelId.FACET)
     cfg = TrialConfig(ChannelId.FACET, small_carrier, payload_bits=10_000, trials=2, seed=1)
+    trials = []
+    monkeypatch.setattr(evaluation, "run_trial", lambda *args, **kwargs: trials.append(args))
     with pytest.raises(
         CapacityExceededError,
         match=f"^payload needs 10000 bits but the facet channel holds {held}$",
     ):
         run_experiment(cfg)
+    assert trials == []
+
+
+@pytest.mark.parametrize(
+    "channel",
+    [ChannelId.FACET, ChannelId.VERTEX, ChannelId.NORMAL, ChannelId.ROBUST_PAIR, ChannelId.NUMBER],
+)
+def test_an_experiment_embeds_once(channel, small_carrier, monkeypatch):
+    # every trial scrubs the one embedded carrier, and reads as a trial
+    # that embeds for itself
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return channels.embed(*args)
+
+    monkeypatch.setattr(evaluation, "embed", counted)
+    cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=48, trials=4, seed=8)
+    matrix, stats = run_experiment(cfg)
+    assert calls == [channel]
+    outcomes = [run_trial(cfg, t) for t in range(cfg.trials)]
+    assert np.array_equal(matrix.cells, [o.survived for o in outcomes])
+    arrangement = [o.arrangement_unchanged for o in outcomes if o.arrangement_unchanged is not None]
+    assert stats.arrangement_mean_pct == compute_stats(matrix, arrangement).arrangement_mean_pct
 
 
 def test_an_unseeded_experiment_draws_a_fresh_payload(small_carrier):

@@ -4,6 +4,7 @@ Each mutant stands in for a pass through monkeypatch and must fail the same
 check that the real pass passes, so the check is shown to see the leak.
 """
 from collections import Counter
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import tagged_model
-from stlstego import RandomSource
+from stlstego import RandomSource, TrialConfig, run_experiment, statistical_gates
 from stlstego import sanitize
-from stlstego.channels import CHANNELS, ChannelId
+from stlstego.channels import CHANNELS, ChannelId, load_carrier
 from stlstego.model import coords, rhr_normals, rotate
 from zoo import dirty_export
 
@@ -219,3 +220,57 @@ def test_a_normal_pass_that_keeps_zero_area_normals_fails(monkeypatch):
 def test_a_normal_pass_that_keeps_the_first_word_fails(monkeypatch, icosphere2):
     monkeypatch.setattr(sanitize, "sanitize_normal_channel", keep_the_first_word)
     assert not attribute_words_are_zero(nonzero_words(icosphere2))
+
+
+# The channels whose scrubber writes one fixed state into every slot: the RHR
+# normal, standard notation, space indents. Every slot then reads 0, so one
+# exact gate covers them at any size.
+ERASED = (ChannelId.NORMAL, ChannelId.NUMBER, ChannelId.WHITESPACE)
+# seed 2's payload starts with a 1, which a scrubber that keeps the first
+# slot carries through
+GATE_SEED = 2
+
+
+def erased_gate(carrier, channel):
+    """The exact gate of a seeded 64-bit, 4-trial experiment, run through
+    the channel table, so that a scrubber installed there is the one run."""
+    cfg = TrialConfig(channel=channel, carrier=carrier, payload_bits=64, trials=4, seed=GATE_SEED)
+    matrix, stats = run_experiment(cfg)
+    assert matrix.payload[0] == 1
+    (gate,) = statistical_gates(channel, stats)
+    return gate
+
+
+def zoo_carrier(channel):
+    model, text, _ = dirty_export(1)
+    return load_carrier(text.encode("ascii")) if CHANNELS[channel].text else model
+
+
+@pytest.mark.parametrize("channel", ERASED)
+def test_the_fixed_state_scrubbers_erase_every_bit(channel, icosphere2):
+    assert erased_gate(icosphere2, channel).passed
+    assert erased_gate(zoo_carrier(channel), channel).passed
+
+
+@pytest.mark.parametrize("channel", ERASED)
+def test_an_identity_scrubber_fails_the_exact_gate(channel, monkeypatch, icosphere2):
+    identity = replace(CHANNELS[channel], scrub=lambda carrier, rng: carrier)
+    monkeypatch.setitem(CHANNELS, channel, identity)
+    gate = erased_gate(icosphere2, channel)
+    assert not gate.passed
+    assert gate.detail == "bit 0, payload 1, survives 100.000 %"
+
+
+def keep_the_first_slot(model, rng):
+    """A leaky normal pass: the first slot keeps its stored normal."""
+    first = CHANNELS[ChannelId.NORMAL].slots(model)[0]
+    records = REAL_NORMAL_PASS(model).records.copy()
+    coords(records)[first, 0] = model.normals[first]
+    return model.with_records(records)
+
+
+def test_a_normal_pass_that_keeps_the_first_slot_fails(monkeypatch, icosphere2):
+    leaky = replace(CHANNELS[ChannelId.NORMAL], scrub=keep_the_first_slot)
+    monkeypatch.setitem(CHANNELS, ChannelId.NORMAL, leaky)
+    assert not erased_gate(icosphere2, ChannelId.NORMAL).passed
+    assert not erased_gate(zoo_carrier(ChannelId.NORMAL), ChannelId.NORMAL).passed

@@ -9,6 +9,7 @@ from scipy.stats import chisquare
 
 from conftest import LUCY_TEXT, random_model, tagged_model, unit_facet
 from scalar_reference import (
+    fisher_yates_order,
     geometry_key,
     model_from_facets,
     unit_rhr_normal,
@@ -65,6 +66,10 @@ class TestFacetShuffle:
         model = model_from_facets(facets=(unit_facet(),))
         assert sanitize_facet_channel(model, RandomSource.seeded(1)) == model
 
+    def test_no_facets_unchanged(self):
+        model = model_from_facets()
+        assert sanitize_facet_channel(model, RandomSource.seeded(1)) == model
+
     def test_multiset_preserved_exactly(self):
         model = random_model(50, seed=2, attributes=True)
         out = sanitize_facet_channel(model, RandomSource.seeded(3))
@@ -88,6 +93,33 @@ class TestFacetShuffle:
             counts[tuple(f.attribute for f in out.facets)] += 1
         assert len(counts) == 6
         assert all(abs(c - 1000) < 150 for c in counts.values())
+
+
+def _check_order(n, draws):
+    draws = np.asarray(draws, dtype=np.int64)
+    expected = fisher_yates_order(n, draws.tolist())
+    assert np.array_equal(sanitize._fisher_yates(n, draws), expected), (n, draws)
+
+
+class TestFisherYatesOrder:
+    """The loop-free order against the swap loop, on the same draws."""
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_random_draws(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            _check_order(n, [rng.randrange(i + 1) for i in range(n - 1, 0, -1)])
+
+    @pytest.mark.parametrize("n", range(71))
+    def test_extreme_draws(self, n):
+        steps = np.arange(n - 1, 0, -1)
+        _check_order(n, np.zeros(len(steps)))  # every step swaps with position 0
+        _check_order(n, steps)  # no step swaps: j_i = i
+        _check_order(n, steps - 1)  # one chain as long as n: j_i = i - 1
+
+    def test_the_largest_built_in_carrier(self):
+        n = 81_920
+        _check_order(n, RandomSource.seeded(6).randbelow_many(np.arange(n, 1, -1)))
 
 
 class TestVertexRotation:
