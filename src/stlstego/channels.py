@@ -32,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import sanitize
 from .bits import BitSequence
 from .errors import CapacityExceededError, ChannelUnavailableError
 from .floatfmt import format_scientific, format_standard, spell_float32s
@@ -44,12 +45,6 @@ from .model import (
     rhr_normals,
 )
 from .rawdoc import RawAsciiDocument
-from .sanitize import (
-    sanitize_facet_channel,
-    sanitize_model,
-    sanitize_normal_channel,
-    sanitize_vertex_channel,
-)
 from .stl_io import read_stl, write_canonical_ascii
 
 
@@ -210,24 +205,22 @@ class Channel:
     scrub: Callable
 
 
-# The scrubbers are looked up when called, not bound here, so that a wrapper
-# (a profiler, a test) reaches evaluate's trials too, but only one that
-# replaces this module's own imported name. A wrapper installed on
-# stlstego.sanitize alone reaches only the passes that sanitize_model calls.
+# The scrubbers look their pass up in stlstego.sanitize when called, so that a
+# pass replaced there (by a profiler, a test) is the one evaluate's trials run.
 # A text channel's scrubber is uniform re-serialization: the document's model
 # in its canonical text, which as_carrier makes.
 CHANNELS = {
     ChannelId.FACET: Channel(
         False, _order_runs(2), _read_order, _write_order,
-        lambda model, rng: sanitize_facet_channel(model, rng),
+        lambda model, rng: sanitize.sanitize_facet_channel(model, rng),
     ),
     ChannelId.VERTEX: Channel(
         False, _usable_indices, _read_vertex, _write_vertex,
-        lambda model, rng: sanitize_vertex_channel(model, rng),
+        lambda model, rng: sanitize.sanitize_vertex_channel(model, rng),
     ),
     ChannelId.NORMAL: Channel(
         False, _normal_usable_indices, _read_normal, _write_normal,
-        lambda model, rng: sanitize_normal_channel(model),
+        lambda model, rng: sanitize.sanitize_normal_channel(model),
     ),
     ChannelId.NUMBER: Channel(
         True, lambda doc: doc.number_spans, _read_number, _write_number,
@@ -241,7 +234,7 @@ CHANNELS = {
     # pairs, so its scrubber is the full geometric one
     ChannelId.ROBUST_PAIR: Channel(
         False, _order_runs(4), _read_order, _write_order,
-        lambda model, rng: sanitize_model(model, rng),
+        lambda model, rng: sanitize.sanitize_model(model, rng),
     ),
 }
 

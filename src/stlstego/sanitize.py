@@ -45,7 +45,7 @@ class RandomSource:
     its randbelow(n) is randbelow_many([n]). A crypto source's
     randbelow_many calls randbelow once per bound, in order, only because
     perfbench's tracer counts draws by wrapping randbelow; that branch goes
-    when the count moves to randbelow_many (ROADMAP items 2 and 4).
+    once the tracer counts bounds in randbelow_many instead.
 
     A crypto source maps each 64-bit word x read from os.urandom to
     (x * n) >> 64, rejecting the words whose low 64 bits of x * n fall
@@ -73,9 +73,9 @@ class RandomSource:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), n in [1, 2**32]."""
-        if not 0 < n <= 1 << 32:
-            raise ValueError("bounds must lie in [1, 2**32]")
-        if self._rng is not None:
+        # a seeded source, and any bound but an in-range int, take the
+        # array path, whose check is the one rule for both sources
+        if self._rng is not None or type(n) is not int or not 0 < n <= 1 << 32:
             return int(self.randbelow_many([n])[0])
         while True:
             for word in self._words:

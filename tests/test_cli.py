@@ -14,6 +14,7 @@ from stlstego import (
     evaluation,
     generate_test_mesh,
     parse_bytes,
+    sanitize,
     serialize,
     stl_io,
 )
@@ -348,6 +349,15 @@ class TestEvaluate:
         )
         assert code in (0, 1)  # two trials may fail a gate
         assert calls == []
+
+    def test_a_pass_replaced_in_sanitize_is_the_one_evaluated(self, tmp_path, monkeypatch, capsys):
+        # the identity normal pass, installed only where sanitize_all finds it,
+        # leaks every payload-1 bit through the trials
+        monkeypatch.setattr(sanitize, "sanitize_normal_channel", lambda model: model)
+        code = run_cli(["evaluate", "--channel", "normal", "--bits", 64, "--trials", 4,
+                        "--seed", 5, "-o", tmp_path / "r"])
+        assert code == 1
+        assert "gate FAIL: every bit reads 0" in capsys.readouterr().out
 
     def test_capacity_error_exit_code(self, carrier_ascii, tmp_path, capsys):
         code = run_cli(

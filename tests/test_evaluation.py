@@ -22,7 +22,7 @@ from stlstego import (
     sanitize_vertex_channel,
     statistical_gates,
 )
-from stlstego import capacity, channels, evaluation, model
+from stlstego import capacity, channels, evaluation, model, sanitize
 from stlstego.evaluation import derive_seed
 
 
@@ -72,15 +72,16 @@ def test_noop_sanitizer_keeps_every_bit(channel, small_carrier, monkeypatch):
     ],
 )
 def test_trial_scrubber_is_looked_up_when_called(channel, scrubber, small_carrier, monkeypatch):
-    # a wrapper installed on the module function, as a profiler does, sees the call
-    original = getattr(channels, scrubber)
+    # a wrapper installed on the pass in stlstego.sanitize, as a profiler or a
+    # mutant does, sees the trial's call
+    original = getattr(sanitize, scrubber)
     calls = []
 
     def wrapped(*args):
         calls.append(channel)
         return original(*args)
 
-    monkeypatch.setattr(channels, scrubber, wrapped)
+    monkeypatch.setattr(sanitize, scrubber, wrapped)
     cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=8, trials=1, seed=4)
     run_trial(cfg, 0)
     assert calls == [channel]

@@ -451,12 +451,15 @@ class TestBulkDraws:
 
     @pytest.mark.parametrize("source", ["crypto", "seeded"])
     def test_float_bounds_raise(self, source):
+        # one array check decides for both sources: a float or a bool bound
+        # raises, a numpy integer draws
         draws = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(1)
         with pytest.raises(ValueError, match=r"bounds must lie in \[1, 2\*\*32\]"):
             draws.randbelow_many([5, 2.5])
-        if source == "seeded":  # a crypto randbelow raises TypeError on its float product
+        for b in (2.0, True):
             with pytest.raises(ValueError, match=r"bounds must lie in \[1, 2\*\*32\]"):
-                draws.randbelow(2.0)
+                draws.randbelow(b)
+        assert 0 <= draws.randbelow(np.int64(5)) < 5
 
     @pytest.mark.parametrize("source", ["crypto", "seeded"])
     def test_bounds_at_the_ends_draw(self, source):

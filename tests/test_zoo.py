@@ -238,7 +238,7 @@ def test_a_twin_differs_only_in_what_sanitize_must_erase():
     assert (np.signbit(twin.vertices) != np.signbit(model.vertices)).any()
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="waits on the canonical form: canonicalize, then randomize")
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_geometry_sanitizes_to_identical_bytes(seed):
     model, _, _ = dirty_export(seed)
