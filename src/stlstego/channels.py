@@ -18,9 +18,11 @@ untouched:
 
 ``CHANNELS`` maps each ``ChannelId`` to a ``Channel``: its carrier kind
 (an ``StlModel``, or a ``RawAsciiDocument`` for the text channels), the
-slots that hold one bit each, how to read and write a slot, and the scrubber
-that erases it. ``capacity``, ``embed`` and ``extract`` run over that table,
-so adding a channel means adding one entry. Embed and extract are exact
+slots that hold one bit each, how to read and write a slot, the scrubber
+that erases it, and the gates a scrubbed channel must pass in a
+survivability experiment. ``capacity``, ``embed`` and ``extract`` run over
+that table, and ``evaluation.statistical_gates`` over its gates, so adding
+a channel means adding one entry. Embed and extract are exact
 inverses within a carrier's capacity, and the slots are always recomputable
 from the carrier alone.
 """
@@ -196,6 +198,11 @@ class Channel:
     ``read(carrier, slots)`` decodes one bit per slot. ``write(carrier,
     slots, bits)`` returns a new carrier whose slots hold bits, one each.
     ``scrub(carrier, rng)`` is the channel's own scrubber.
+
+    ``gates`` maps the name of each survival statistic a scrubbed channel
+    is checked on, in order, to its (lo, hi) range at 1,024 bits x 100
+    trials. None means the scrubber writes one fixed state reading 0 into
+    every slot, which the exact ``every bit reads 0`` gate checks.
     """
 
     text: bool
@@ -203,38 +210,50 @@ class Channel:
     read: Callable
     write: Callable
     scrub: Callable
+    gates: dict[str, tuple[float, float]] | None
+
+
+def _scrub_text(doc: RawAsciiDocument, rng) -> RawAsciiDocument:
+    """Uniform re-serialization: the model's canonical text reads 0."""
+    return RawAsciiDocument(write_canonical_ascii(doc.model))
 
 
 # The scrubbers look their pass up in stlstego.sanitize when called, so that a
 # pass replaced there (by a profiler, a test) is the one evaluate's trials run.
-# A text channel's scrubber is uniform re-serialization: the document's model
-# in its canonical text, which as_carrier makes.
+# Survival after a random scrubber must look like coin flipping; the vertex
+# channel's per-value split is the known 1/3 vs 2/3 bias of a two-state
+# encoding over three rotation states.
 CHANNELS = {
     ChannelId.FACET: Channel(
         False, _order_runs(2), _read_order, _write_order,
         lambda model, rng: sanitize.sanitize_facet_channel(model, rng),
+        {"mean survival pct": (48.5, 51.5), "variance of per-trial pct": (1.3, 3.2)},
     ),
     ChannelId.VERTEX: Channel(
         False, _usable_indices, _read_vertex, _write_vertex,
         lambda model, rng: sanitize.sanitize_vertex_channel(model, rng),
+        {
+            "mean survival pct": (48.0, 52.0),
+            "per-bit mean, payload 1": (100.0 / 3.0 - 2.5, 100.0 / 3.0 + 2.5),
+            "per-bit mean, payload 0": (200.0 / 3.0 - 2.5, 200.0 / 3.0 + 2.5),
+        },
     ),
     ChannelId.NORMAL: Channel(
         False, _normal_usable_indices, _read_normal, _write_normal,
-        lambda model, rng: sanitize.sanitize_normal_channel(model),
+        lambda model, rng: sanitize.sanitize_normal_channel(model), None,
     ),
     ChannelId.NUMBER: Channel(
-        True, lambda doc: doc.number_spans, _read_number, _write_number,
-        lambda doc, rng: as_carrier(doc.model, ChannelId.NUMBER),
+        True, lambda doc: doc.number_spans, _read_number, _write_number, _scrub_text, None,
     ),
     ChannelId.WHITESPACE: Channel(
-        True, lambda doc: doc.indent_spans, _read_whitespace, _write_whitespace,
-        lambda doc, rng: as_carrier(doc.model, ChannelId.WHITESPACE),
+        True, lambda doc: doc.indent_spans, _read_whitespace, _write_whitespace, _scrub_text, None,
     ),
     # exists to defeat a scrubber that only re-randomizes single consecutive
     # pairs, so its scrubber is the full geometric one
     ChannelId.ROBUST_PAIR: Channel(
         False, _order_runs(4), _read_order, _write_order,
         lambda model, rng: sanitize.sanitize_model(model, rng),
+        {"mean survival pct": (45.0, 55.0)},
     ),
 }
 

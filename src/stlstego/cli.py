@@ -232,6 +232,15 @@ def _cmd_evaluate(args) -> int:
     return 1 if failed else 0
 
 
+_EXIT_CODES = {
+    OSError: 1,
+    StlParseError: 2,
+    UnrecognizedFormatError: 2,
+    CapacityExceededError: 3,
+    ChannelUnavailableError: 3,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -245,15 +254,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except OSError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"stlstego: error: {exc}", file=sys.stderr)
-        return 1
-    except (StlParseError, UnrecognizedFormatError) as exc:
-        print(f"stlstego: error: {exc}", file=sys.stderr)
-        return 2
-    except (CapacityExceededError, ChannelUnavailableError) as exc:
-        print(f"stlstego: error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -1,15 +1,12 @@
 """Bit-survivability experiments.
 
-A trial embeds a known payload into one channel of a carrier, applies that
-channel's own scrubber (so channels are assessed without interference),
-re-extracts, and records which bits came back unchanged. Repeating the same
-payload over many independently randomized trials yields per-trial and
-per-bit survival statistics; a channel is dead when survival matches what
-coin flipping would produce.
-
-The robust-pair channel is the exception: it exists to defeat a scrubber
-that only re-randomizes single consecutive pairs, so its trials apply the
-full geometric scrub (facet, vertex, and normal passes together).
+A trial embeds a known payload into one channel of a carrier, applies the
+scrubber of that channel's ``CHANNELS`` entry (so channels are assessed
+without interference), re-extracts, and records which bits came back
+unchanged. Repeating the same payload over many independently randomized
+trials yields per-trial and per-bit survival statistics, which the
+entry's gates judge: a channel is dead when survival matches what coin
+flipping would produce, or when every slot reads 0.
 """
 from __future__ import annotations
 
@@ -118,10 +115,9 @@ def run_trial(
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
-        # a rotation keeps which facets are degenerate, so the carrier's
-        # cached mask gives the embedded model's slots
-        carrier = as_carrier(cfg.carrier, ChannelId.VERTEX)
-        usable = CHANNELS[ChannelId.VERTEX].slots(carrier)[: len(payload)]
+        # a rotation keeps which facets are degenerate, so the embedded
+        # model's slots are the scrubbed model's, whose mask extract cached
+        usable = CHANNELS[ChannelId.VERTEX].slots(scrubbed)[: len(payload)]
         same = embedded.vertices[usable] == scrubbed.vertices[usable]
         arrangement = same.all(axis=(1, 2))
     return TrialOutcome(survived=survived, arrangement_unchanged=arrangement)
@@ -288,20 +284,14 @@ class Gate:
     detail: str
 
 
-# Expected ranges for the randomized channels: survival must look like coin
-# flipping (the vertex channel's per-value split is the known 1/3 vs 2/3
-# bias of a two-state encoding over three rotation states).
-FACET_MEAN_RANGE = (48.5, 51.5)
-FACET_VARIANCE_RANGE = (1.3, 3.2)
-VERTEX_MEAN_RANGE = (48.0, 52.0)
-VERTEX_VALUE1_TARGET = 100.0 / 3.0
-VERTEX_VALUE0_TARGET = 200.0 / 3.0
-VERTEX_VALUE_TOLERANCE_PP = 2.5
-ROBUST_MEAN_RANGE = (45.0, 55.0)
-
-
-def _range_gate(name: str, value: float, lo: float, hi: float) -> Gate:
-    return Gate(name, lo <= value <= hi, f"{value:.3f} vs [{lo}, {hi}]")
+def _statistic(stats: SurvivalStats, name: str) -> float | None:
+    """The statistic a gate checks; None for a value the payload lacks."""
+    if name == "mean survival pct":
+        return stats.mean_pct
+    if name == "variance of per-trial pct":
+        return stats.variance_pct2
+    series = stats.per_bit_by_value[int(name.removeprefix("per-bit mean, payload "))]
+    return float(np.mean(series)) if len(series) else None
 
 
 def _erased_gate(stats: SurvivalStats) -> Gate:
@@ -323,31 +313,14 @@ def _erased_gate(stats: SurvivalStats) -> Gate:
 
 
 def statistical_gates(channel: ChannelId, stats: SurvivalStats) -> list[Gate]:
-    """Pass/fail checks that the scrubber left no usable signal."""
+    """Pass/fail checks that the scrubber left no usable signal: the
+    channel's gate ranges in order, or the exact gate when it has none."""
+    ranges = CHANNELS[channel].gates
+    if ranges is None:
+        return [_erased_gate(stats)]
     gates = []
-    if channel is ChannelId.FACET:
-        gates.append(_range_gate("mean survival pct", stats.mean_pct, *FACET_MEAN_RANGE))
-        gates.append(
-            _range_gate("variance of per-trial pct", stats.variance_pct2, *FACET_VARIANCE_RANGE)
-        )
-    elif channel is ChannelId.VERTEX:
-        gates.append(_range_gate("mean survival pct", stats.mean_pct, *VERTEX_MEAN_RANGE))
-        for value, target in ((1, VERTEX_VALUE1_TARGET), (0, VERTEX_VALUE0_TARGET)):
-            series = stats.per_bit_by_value[value]
-            if len(series):  # a payload need not hold both values
-                mean = float(np.mean(series))
-                gates.append(
-                    _range_gate(
-                        f"per-bit mean, payload {value}",
-                        mean,
-                        target - VERTEX_VALUE_TOLERANCE_PP,
-                        target + VERTEX_VALUE_TOLERANCE_PP,
-                    )
-                )
-    elif channel is ChannelId.ROBUST_PAIR:
-        gates.append(_range_gate("mean survival pct", stats.mean_pct, *ROBUST_MEAN_RANGE))
-    else:
-        # normal, number and whitespace: the scrubber's output is fixed, the
-        # RHR normal, standard notation and space indents, which all read 0
-        gates.append(_erased_gate(stats))
+    for name, (lo, hi) in ranges.items():
+        value = _statistic(stats, name)
+        if value is not None:  # a payload need not hold both values
+            gates.append(Gate(name, lo <= value <= hi, f"{value:.3f} vs [{lo}, {hi}]"))
     return gates

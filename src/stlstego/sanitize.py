@@ -90,9 +90,13 @@ class RandomSource:
         """Uniform integers in [0, b) for each b of bounds, each in [1, 2**32],
         as an int64 array."""
         # no dtype here: a bound past int64 or a float is refused below, not
-        # an OverflowError or a truncation
+        # an OverflowError or a truncation. asarray would read a bool among
+        # ints as the int 0 or 1, so a sequence is searched for one first
+        has_bool = not isinstance(bounds, np.ndarray) and any(
+            isinstance(b, (bool, np.bool_)) for b in bounds
+        )
         bounds = np.asarray(bounds)
-        if len(bounds) and not (
+        if has_bool or len(bounds) and not (
             bounds.dtype.kind in "iu" and bounds.min() >= 1 and bounds.max() <= 1 << 32
         ):
             raise ValueError("bounds must lie in [1, 2**32]")

@@ -320,6 +320,72 @@ def test_gates_fail_on_biased_stats():
     assert gates and not any(g.passed for g in gates)
 
 
+def test_each_channel_entry_holds_its_gate_ranges_in_order():
+    # the ranges sized for 1,024 bits x 100 trials, as float expressions
+    # whose digits the gate details print
+    gates = {channel: channels.CHANNELS[channel].gates for channel in ChannelId}
+    assert list(gates[ChannelId.FACET].items()) == [
+        ("mean survival pct", (48.5, 51.5)),
+        ("variance of per-trial pct", (1.3, 3.2)),
+    ]
+    assert list(gates[ChannelId.VERTEX].items()) == [
+        ("mean survival pct", (48.0, 52.0)),
+        ("per-bit mean, payload 1", (100.0 / 3.0 - 2.5, 100.0 / 3.0 + 2.5)),
+        ("per-bit mean, payload 0", (200.0 / 3.0 - 2.5, 200.0 / 3.0 + 2.5)),
+    ]
+    assert list(gates[ChannelId.ROBUST_PAIR].items()) == [("mean survival pct", (45.0, 55.0))]
+    for channel in (ChannelId.NORMAL, ChannelId.NUMBER, ChannelId.WHITESPACE):
+        assert gates[channel] is None
+
+
+_VERTEX_VALUE_RANGES = {
+    0: "vs [64.16666666666667, 69.16666666666667]",
+    1: "vs [30.833333333333336, 35.833333333333336]",
+}
+
+
+@pytest.mark.parametrize(
+    "channel, expected",
+    [
+        (ChannelId.FACET, [
+            ("mean survival pct", False, "58.000 vs [48.5, 51.5]"),
+            ("variance of per-trial pct", False, "23.500 vs [1.3, 3.2]"),
+        ]),
+        (ChannelId.VERTEX, [
+            ("mean survival pct", False, "53.000 vs [48.0, 52.0]"),
+            ("per-bit mean, payload 1", False, f"30.667 {_VERTEX_VALUE_RANGES[1]}"),
+            ("per-bit mean, payload 0", True, f"66.400 {_VERTEX_VALUE_RANGES[0]}"),
+        ]),
+        (ChannelId.NORMAL, [("every bit reads 0", True, "all 40 bits in every trial")]),
+        (ChannelId.NUMBER, [("every bit reads 0", True, "all 40 bits in every trial")]),
+        (ChannelId.WHITESPACE, [("every bit reads 0", True, "all 40 bits in every trial")]),
+        (ChannelId.ROBUST_PAIR, [("mean survival pct", True, "49.500 vs [45.0, 55.0]")]),
+    ],
+)
+def test_gates_of_a_small_seeded_experiment(small_carrier, channel, expected):
+    # sized for 1,024 x 100, the random channels' gates can fail at 40 x 5
+    cfg = TrialConfig(channel=channel, carrier=small_carrier, payload_bits=40, trials=5, seed=4)
+    _, stats = run_experiment(cfg)
+    gates = statistical_gates(channel, stats)
+    assert [(g.name, g.passed, g.detail) for g in gates] == expected
+
+
+@pytest.mark.parametrize("value, survival", [(0, "65.500"), (1, "32.000")])
+def test_a_one_valued_vertex_payload_has_no_gate_for_the_other_value(
+    small_carrier, value, survival
+):
+    payload = BitSequence([value] * 40)
+    cfg = TrialConfig(
+        channel=ChannelId.VERTEX, carrier=small_carrier, payload_bits=40, trials=5, seed=4
+    )
+    rows = np.array([run_trial(cfg, t, payload=payload).survived for t in range(5)])
+    gates = statistical_gates(ChannelId.VERTEX, compute_stats(SurvivalMatrix(rows, payload)))
+    assert [(g.name, g.passed, g.detail) for g in gates] == [
+        ("mean survival pct", False, f"{survival} vs [48.0, 52.0]"),
+        (f"per-bit mean, payload {value}", True, f"{survival} {_VERTEX_VALUE_RANGES[value]}"),
+    ]
+
+
 @pytest.fixture
 def keyed_carrier():
     carrier = generate_test_mesh(2)

@@ -461,6 +461,17 @@ class TestBulkDraws:
                 draws.randbelow(b)
         assert 0 <= draws.randbelow(np.int64(5)) < 5
 
+    @pytest.mark.parametrize("bounds", [[5, True], [True, 5], [5, np.True_]])
+    @pytest.mark.parametrize("source", ["crypto", "seeded"])
+    def test_a_bool_among_int_bounds_raises(self, source, bounds):
+        # asarray promotes such a list to ints, reading True as bound 1
+        draws = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(1)
+        state = draws._rng.getstate() if source == "seeded" else None
+        with pytest.raises(ValueError, match=r"^bounds must lie in \[1, 2\*\*32\]$"):
+            draws.randbelow_many(bounds)
+        if source == "seeded":  # raised before any word is read
+            assert draws._rng.getstate() == state
+
     @pytest.mark.parametrize("source", ["crypto", "seeded"])
     def test_bounds_at_the_ends_draw(self, source):
         draws = RandomSource.crypto() if source == "crypto" else RandomSource.seeded(1)
