@@ -44,7 +44,7 @@ from .model import (
     coords,
     extreme_rotation,
     lex_compare,
-    rhr_normals,
+    rotation_starts,
 )
 from .rawdoc import RawAsciiDocument
 from .stl_io import read_stl, write_canonical_ascii
@@ -65,21 +65,20 @@ def _usable_indices(model: StlModel) -> np.ndarray:
 
 def _normal_usable_indices(model: StlModel) -> np.ndarray:
     # zero-area facets, the degenerate ones included, have no RHR normal
-    return np.flatnonzero(rhr_normals(model.vertices)[1])
+    return np.flatnonzero(model.rhr[1])
 
 
 def _halves(model: StlModel, runs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical forms of each order run's two halves: one geometry key
-    each for a pair, one canonical pair (smallest key first) each for a run
-    of four. runs is an (m, 2) or (m, 4) index array."""
-    keys = model.geometry_keys[runs]
+    """Canonical forms of each order run's two halves, as integers that
+    compare as the forms do: a facet's geometry rank for a pair, and for a
+    run of four the canonical pair (smaller rank first) as min * n + max.
+    runs is an (m, 2) or (m, 4) index array."""
+    ranks = model.geometry_ranks[runs]
     if runs.shape[1] == 2:
-        return keys[:, 0], keys[:, 1]
-    halves = []
-    for a, b in ((keys[:, 0], keys[:, 1]), (keys[:, 2], keys[:, 3])):
-        swap = (lex_compare(a, b) > 0)[:, None]
-        halves.append(np.where(swap, np.hstack([b, a]), np.hstack([a, b])))
-    return halves[0], halves[1]
+        return ranks[:, 0], ranks[:, 1]
+    halves = ranks.reshape(-1, 2, 2)  # (run, half, facet)
+    canonical = halves.min(axis=2) * len(model) + halves.max(axis=2)
+    return canonical[:, 0], canonical[:, 1]
 
 
 def _order_runs(width: int):
@@ -89,14 +88,16 @@ def _order_runs(width: int):
     def slots(model: StlModel) -> np.ndarray:
         usable = _usable_indices(model)
         runs = usable[: len(usable) // width * width].reshape(-1, width)
-        return runs[lex_compare(*_halves(model, runs)) != 0]
+        first, second = _halves(model, runs)
+        return runs[first != second]
 
     return slots
 
 
 def _read_order(model: StlModel, runs) -> np.ndarray:
     """1 iff a run's first half is canonically greater than its second."""
-    return (lex_compare(*_halves(model, runs)) > 0).astype(np.uint8)
+    first, second = _halves(model, runs)
+    return (first > second).astype(np.uint8)
 
 
 def _write_order(model: StlModel, runs, bits) -> StlModel:
@@ -119,17 +120,18 @@ def _read_vertex(model: StlModel, indices) -> np.ndarray:
 def _write_vertex(model: StlModel, indices, bits) -> StlModel:
     """Bit 1 lists the largest vertex first, bit 0 the smallest: the
     rotation that Python's max or min picks among the three."""
-    largest = extreme_rotation(model.vertices[indices], 1)
+    vertices = model.vertices[indices]
+    largest = extreme_rotation(vertices, 1)
     chosen = np.where(np.asarray(bits, dtype=bool)[:, None], largest, model.geometry_keys[indices])
-    records = model.records.copy()
-    coords(records)[indices, 1:] = chosen.reshape(-1, 3, 3)
-    return model.with_records(records)
+    starts = np.zeros(len(model), dtype=np.intp)
+    starts[indices] = rotation_starts(vertices, chosen)
+    return model.rotated(starts)
 
 
 def _read_normal(model: StlModel, indices) -> np.ndarray:
     """1 iff the stored normal opposes the computed RHR normal. Zero-length
     stored normals (dot product 0) decode as 0 by convention."""
-    n = rhr_normals(model.vertices[indices])[0].astype(np.float64)
+    n = model.rhr[0][indices].astype(np.float64)
     s = model.normals[indices].astype(np.float64)
     dot = s[:, 0] * n[:, 0] + s[:, 1] * n[:, 1] + s[:, 2] * n[:, 2]
     return (dot < 0).astype(np.uint8)
@@ -137,11 +139,11 @@ def _read_normal(model: StlModel, indices) -> np.ndarray:
 
 def _write_normal(model: StlModel, indices, bits) -> StlModel:
     """Store the exact RHR normal for bit 0 and its negation for bit 1."""
-    n = rhr_normals(model.vertices[indices])[0]
-    records = model.records.copy()
+    n = model.rhr[0][indices]
+    normals = model.normals.copy()
     # 0 - n, not -n: a zero component stays +0.0
-    coords(records)[indices, 0] = np.where(np.asarray(bits, dtype=bool)[:, None], np.float32(0) - n, n)
-    return model.with_records(records)
+    normals[indices] = np.where(np.asarray(bits, dtype=bool)[:, None], np.float32(0) - n, n)
+    return model.with_normals(normals, model.records["attr"])
 
 
 def _read_number(doc: RawAsciiDocument, spans) -> np.ndarray:

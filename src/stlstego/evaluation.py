@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bits import BitSequence
-from .channels import CHANNELS, ChannelId, as_carrier, embed, extract
+from .channels import CHANNELS, ChannelId, as_carrier, capacity, embed, extract
+from .errors import CapacityExceededError
 from .model import StlModel
 from .sanitize import RandomSource
 
@@ -110,13 +111,21 @@ def run_trial(
         embedded = embed(cfg.carrier, cfg.channel, payload)
     rng = _source(cfg, "trial", trial_index)
     scrubbed = CHANNELS[cfg.channel].scrub(embedded, rng)
-    extracted = extract(scrubbed, cfg.channel, len(payload))
-    survived = np.asarray(extracted) == np.asarray(payload)
+    try:
+        extracted = np.asarray(extract(scrubbed, cfg.channel, len(payload)))
+    except CapacityExceededError:
+        # a scrub can remove slots: a shuffle can pair repeated facets, and
+        # the canonical text indents no `solid` line. Each missing bit reads
+        # 0, the state scrubbing leaves
+        extracted = np.zeros(len(payload), dtype=np.uint8)
+        held = capacity(scrubbed, cfg.channel)
+        extracted[:held] = extract(scrubbed, cfg.channel, held)
+    survived = extracted == np.asarray(payload)
 
     arrangement = None
     if cfg.channel is ChannelId.VERTEX:
         # a rotation keeps which facets are degenerate, so the embedded
-        # model's slots are the scrubbed model's, whose mask extract cached
+        # model's slots are the scrubbed model's, whose mask it carried
         usable = CHANNELS[ChannelId.VERTEX].slots(scrubbed)[: len(payload)]
         same = embedded.vertices[usable] == scrubbed.vertices[usable]
         arrangement = same.all(axis=(1, 2))
@@ -264,7 +273,7 @@ def result_files(matrix: SurvivalMatrix, stats: SurvivalStats) -> dict[str, byte
     return {
         "matrix.csv": _csv(
             [["trial"] + [f"bit_{i}" for i in range(bits)]]
-            + [[t] + [int(c) for c in row] for t, row in enumerate(matrix.cells)]
+            + [[t] + row for t, row in enumerate(matrix.cells.astype(np.uint8).tolist())]
         ),
         "stats.csv": _csv(
             [["bit", "payload_bit", "survival_pct"]]

@@ -11,9 +11,10 @@ between threads.
 The array functions at the end of this module state the geometry the
 sanitizer preserves: ``rhr_normals`` (the unit right-hand-rule normal),
 ``extreme_rotation`` (with sign -1, the rotation-invariant geometry key),
-``degenerate`` (repeated vertices) and ``lex_compare`` (Python's tuple
-comparison). The scalar per-facet definitions they are checked against,
-bit for bit, live in the tests (``tests/scalar_reference.py``).
+``geometry_ranks`` (the keys' order as integers), ``degenerate`` (repeated
+vertices) and ``lex_compare`` (Python's tuple comparison). The scalar
+per-facet definitions they are checked against, bit for bit, live in the
+tests (``tests/scalar_reference.py``).
 """
 from __future__ import annotations
 
@@ -71,14 +72,26 @@ class StlModel:
     a 1-d RECORD_DTYPE array (empty by default) that the model then owns,
     read-only. Equality compares values, so -0.0 equals 0.0.
 
-    A model computes three things once, on first access, and keeps them:
-    the read-only (n, 9) ``geometry_keys`` array, the read-only
-    ``degenerate`` mask and ``facets``, the records as Facet values (kept
-    for ``perfbench/gen.py``, which reads them). A model made by
-    ``with_records`` computes its own. A model made by ``take`` inherits
-    ``geometry_keys`` and ``degenerate`` as rows of its source's, when the
-    source has computed them: both are functions of a facet's own record,
-    so the taken rows equal a fresh computation bit for bit.
+    A model computes its geometry once, on first access, and keeps it:
+    the read-only ``geometry_keys``, ``geometry_ranks``, ``degenerate`` and
+    ``rhr`` arrays, and ``facets``, the records as Facet values (kept for
+    ``perfbench/gen.py``, which reads them). A model made by
+    ``with_records`` computes its own. Three constructors hand on what
+    their source has computed and they cannot change, so every carried
+    array equals a fresh computation bit for bit:
+
+    * ``take`` picks facets by index. It carries the keys, the mask and
+      ``rhr`` as rows of its source's, since each row is a function of its
+      facet's own record. Ranks number the whole model's order, so it
+      carries them only when it permutes all facets: a subset can rank
+      differently.
+    * ``with_normals`` rewrites only the stored normals and attribute
+      words, so the vertices stay bit-identical and it carries everything.
+    * ``rotated`` turns vertex lists cyclically. It carries ``degenerate``
+      and ``geometry_ranks``, which compare vertices as values. It carries
+      no keys, because a facet whose vertices are equal as floats can
+      change the signed-zero bits of its key, and no ``rhr``, whose
+      rounding depends on the vertex order.
     """
 
     solid_name: str = ""
@@ -129,9 +142,22 @@ class StlModel:
         return _read_only(extreme_rotation(self.vertices, -1))
 
     @cached_property
+    def geometry_ranks(self) -> np.ndarray:
+        """int64: each facet's rank among the geometry keys. Equal ranks
+        mean the same triangle, and ranks order facets as their keys do."""
+        return _read_only(geometry_ranks(self.geometry_keys))
+
+    @cached_property
     def degenerate(self) -> np.ndarray:
         """True for each facet with two equal vertices."""
         return _read_only(degenerate(self.vertices))
+
+    @cached_property
+    def rhr(self) -> tuple[np.ndarray, np.ndarray]:
+        """rhr_normals of the vertices: the (n, 3) float32 unit normals, zero
+        where the area is zero, and the mask of nonzero areas."""
+        normals, nonzero = rhr_normals(self.vertices)
+        return _read_only(normals), _read_only(nonzero)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -148,11 +174,46 @@ class StlModel:
 
     def take(self, order: np.ndarray) -> "StlModel":
         """The model whose facet i is this model's facet order[i]."""
-        taken = self.with_records(self.records.take(order))
-        for name in ("geometry_keys", "degenerate"):
+        order = np.asarray(order)
+        names = ["geometry_keys", "degenerate", "rhr"]
+        if "geometry_ranks" in self.__dict__ and len(order) == len(self):
+            hit = np.zeros(len(self), dtype=bool)
+            hit[order] = True
+            if hit.all():  # n indices that hit all n facets: a permutation
+                names.append("geometry_ranks")
+        return self._carrying(self.records.take(order), names, order)
+
+    def with_normals(self, normals: np.ndarray, attr) -> "StlModel":
+        """This model with the stored normals and attribute words replaced;
+        the vertices, and so every cached array, stay as they are."""
+        records = self.records.copy()
+        coords(records)[:, 0] = normals
+        records["attr"] = attr
+        return self._carrying(records, ["geometry_keys", "geometry_ranks", "degenerate", "rhr"])
+
+    def rotated(self, starts: np.ndarray) -> "StlModel":
+        """This model with each vertex list rotated as ``rotate`` does."""
+        records = self.records.copy()
+        coords(records)[:, 1:] = rotate(self.vertices, starts)
+        return self._carrying(records, ["geometry_ranks", "degenerate"])
+
+    def _carrying(self, records: np.ndarray, names, order=None) -> "StlModel":
+        """with_records(records), handed the named arrays this model has
+        computed: their rows order[i], or all of them when order is None."""
+        out = self.with_records(records)
+        for name in names:
             if name in self.__dict__:
-                taken.__dict__[name] = _read_only(self.__dict__[name].take(order, axis=0))
-        return taken
+                value = self.__dict__[name]
+                if order is not None:
+                    value = _take_rows(value, order)
+                out.__dict__[name] = value
+        return out
+
+
+def _take_rows(value, order: np.ndarray):
+    if isinstance(value, tuple):
+        return tuple(_take_rows(array, order) for array in value)
+    return _read_only(value.take(order, axis=0))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -181,6 +242,27 @@ def rhr_normals(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit.astype(np.float32), nonzero
 
 
+def geometry_ranks(keys: np.ndarray) -> np.ndarray:
+    """Dense int64 rank of each row of an (n, k) float32 array: rows equal
+    as float tuples (so -0.0 equals 0.0) share a rank, and rank order is
+    lex_compare order. NaN, which no parser lets into a model, has none.
+
+    Adding +0.0 turns -0.0 into 0.0. Each float then maps to a big-endian
+    u32 whose unsigned order is the float order (a negative float's bits
+    inverted, a positive one's sign bit set), so each row's bytes compare
+    as the row does, and one stable argsort of the rows as void scalars
+    sorts them.
+    """
+    bits = (keys + np.float32(0)).view(np.uint32)
+    words = np.where(bits >> 31 != 0, ~bits, bits | np.uint32(1 << 31)).astype(">u4")
+    rows = words.view(f"V{4 * keys.shape[1]}").reshape(-1)
+    order = np.argsort(rows, kind="stable")
+    ordered = rows[order]
+    ranks = np.empty(len(rows), dtype=np.int64)
+    ranks[order] = np.cumsum(np.append(False, ordered[1:] != ordered[:-1]))
+    return ranks
+
+
 def lex_compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise -1, 0 or 1, as Python compares the rows as float tuples
     (so -0.0 equals 0.0). a and b have shape (n, k)."""
@@ -205,6 +287,17 @@ def rotate(vertices: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Cyclic rotation of each vertex list so that vertex start[i] leads:
     0 keeps (a, b, c), 1 gives (b, c, a), 2 gives (c, a, b)."""
     return vertices[np.arange(len(vertices))[:, None], _TURNS[start]]
+
+
+def rotation_starts(vertices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each vertex list of an (n, 3, 3) array, the first start whose
+    rotation equals its row of the (n, 9) rows as floats; each row must be
+    a rotation of its list. The first is the one extreme_rotation picks."""
+    n = len(vertices)
+    first, second = (
+        (vertices[:, _TURNS[start]].reshape(n, 9) == rows).all(axis=1) for start in (0, 1)
+    )
+    return np.where(first, 0, np.where(second, 1, 2))
 
 
 def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StlFormat, StlModel, coords, rhr_normals, rotate
+from .model import StlFormat, StlModel
 from .stl_io import parse_bytes, serialize
 
 
@@ -217,20 +217,15 @@ def sanitize_vertex_channel(model: StlModel, rng: RandomSource) -> StlModel:
     """Rotate each facet's vertex list left, right, or not at all, each
     with probability 1/3, independently per facet."""
     turns = rng.randbelow_many(np.full(len(model), 3))
-    records = model.records.copy()
     # turn 0 rotates left (b, c, a), turn 1 right (c, a, b), turn 2 not at all
-    coords(records)[:, 1:] = rotate(model.vertices, (turns + 1) % 3)
-    return model.with_records(records)
+    return model.rotated((turns + 1) % 3)
 
 
 def sanitize_normal_channel(model: StlModel) -> StlModel:
     """Replace every stored normal with the unit RHR normal computed from
     the vertices; zero-area facets get a zero normal. Attribute words are
     cleared too, since they are writable capacity the geometry never uses."""
-    records = model.records.copy()
-    coords(records)[:, 0] = rhr_normals(model.vertices)[0]
-    records["attr"] = 0
-    return model.with_records(records)
+    return model.with_normals(model.rhr[0], 0)
 
 
 def sanitize_model(model: StlModel, rng: RandomSource) -> StlModel:

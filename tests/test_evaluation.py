@@ -12,6 +12,7 @@ from stlstego import (
     CapacityExceededError,
     ChannelId,
     RandomSource,
+    RawAsciiDocument,
     SurvivalMatrix,
     TrialConfig,
     compute_stats,
@@ -21,9 +22,11 @@ from stlstego import (
     run_trial,
     sanitize_vertex_channel,
     statistical_gates,
+    write_canonical_ascii,
 )
 from stlstego import capacity, channels, evaluation, model, sanitize
 from stlstego.evaluation import derive_seed
+from zoo import dirty_export
 
 
 @pytest.fixture(scope="module")
@@ -433,7 +436,9 @@ def test_vertex_trials_reuse_the_carriers_degenerate_mask(keyed_carrier, monkeyp
     payload = BitSequence([1, 0, 0] * 30)
     cfg = TrialConfig(channel=ChannelId.VERTEX, carrier=keyed_carrier, payload_bits=90, seed=5)
     outcomes = [run_trial(cfg, t, payload=payload) for t in range(4)]
-    assert len(calls) == 4  # one per scrubbed model, none for an embedded one
+    # the carrier's mask, computed before counting, is carried by the
+    # rotations that make each embedded and each scrubbed model
+    assert calls == []
 
     # the arrangement view equals one read off each embedded model's own slots
     for t, outcome in enumerate(outcomes):
@@ -443,3 +448,39 @@ def test_vertex_trials_reuse_the_carriers_degenerate_mask(keyed_carrier, monkeyp
         usable = np.flatnonzero(~original(embedded.vertices))[: len(payload)]
         same = (embedded.vertices[usable] == scrubbed.vertices[usable]).all(axis=(1, 2))
         assert outcome.arrangement_unchanged.tolist() == same.tolist()
+
+
+def _indented_solid_line() -> RawAsciiDocument:
+    text = write_canonical_ascii(generate_test_mesh(2))
+    return RawAsciiDocument("  " + text)
+
+
+@pytest.mark.parametrize(
+    "channel, carrier, bits, trials",
+    [
+        # a shuffle can pair two repeated facets, which removes a slot
+        (ChannelId.FACET, lambda: RawAsciiDocument(dirty_export(1, 2000)[1]), 879, 20),
+        # the canonical text indents no `solid` line
+        (ChannelId.WHITESPACE, _indented_solid_line, None, 4),
+    ],
+    ids=["facet", "whitespace"],
+)
+def test_a_scrub_that_removes_slots_scores_each_missing_one_as_0(channel, carrier, bits, trials):
+    carrier = carrier()
+    bits = bits or capacity(carrier, channel)
+    cfg = TrialConfig(channel=channel, carrier=carrier, payload_bits=bits, trials=trials, seed=9)
+    matrix, stats = run_experiment(cfg)
+    embedded = channels.embed(carrier, channel, matrix.payload)
+    short = 0
+    for t in range(trials):
+        scrubbed = channels.CHANNELS[channel].scrub(
+            embedded, RandomSource.seeded(derive_seed(9, "trial", t))
+        )
+        held = min(capacity(scrubbed, channel), bits)
+        short += held < bits
+        read = np.zeros(bits, dtype=np.uint8)
+        read[:held] = channels.extract(scrubbed, channel, held)
+        assert matrix.cells[t].tolist() == (read == matrix.payload.bits).tolist()
+    assert short
+    if channel is ChannelId.WHITESPACE:
+        assert [g.passed for g in statistical_gates(channel, stats)] == [True]
