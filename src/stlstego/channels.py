@@ -38,14 +38,7 @@ from . import sanitize
 from .bits import BitSequence
 from .errors import CapacityExceededError, ChannelUnavailableError
 from .floatfmt import format_scientific, format_standard, spell_float32s
-from .model import (
-    StlFormat,
-    StlModel,
-    coords,
-    extreme_rotation,
-    lex_compare,
-    rotation_starts,
-)
+from .model import StlFormat, StlModel, coords, extreme_starts, lex_compare
 from .rawdoc import RawAsciiDocument
 from .stl_io import read_stl, write_canonical_ascii
 
@@ -121,10 +114,10 @@ def _write_vertex(model: StlModel, indices, bits) -> StlModel:
     """Bit 1 lists the largest vertex first, bit 0 the smallest: the
     rotation that Python's max or min picks among the three."""
     vertices = model.vertices[indices]
-    largest = extreme_rotation(vertices, 1)
-    chosen = np.where(np.asarray(bits, dtype=bool)[:, None], largest, model.geometry_keys[indices])
     starts = np.zeros(len(model), dtype=np.intp)
-    starts[indices] = rotation_starts(vertices, chosen)
+    starts[indices] = np.where(
+        np.asarray(bits, dtype=bool), extreme_starts(vertices, 1), extreme_starts(vertices, -1)
+    )
     return model.rotated(starts)
 
 

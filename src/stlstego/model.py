@@ -10,7 +10,8 @@ between threads.
 
 The array functions at the end of this module state the geometry the
 sanitizer preserves: ``rhr_normals`` (the unit right-hand-rule normal),
-``extreme_rotation`` (with sign -1, the rotation-invariant geometry key),
+``extreme_starts`` (a rotation chosen as its start, which ``rotate``
+applies; with sign -1, the rotation-invariant geometry key),
 ``geometry_ranks`` (the keys' order as integers), ``degenerate`` (repeated
 vertices) and ``lex_compare`` (Python's tuple comparison). The scalar
 per-facet definitions they are checked against, bit for bit, live in the
@@ -139,7 +140,8 @@ class StlModel:
     def geometry_keys(self) -> np.ndarray:
         """(n, 9) float32: each facet's vertex list in its smallest cyclic
         rotation, flattened. Equal rows mean the same triangle."""
-        return _read_only(extreme_rotation(self.vertices, -1))
+        vertices = self.vertices
+        return _read_only(rotate(vertices, extreme_starts(vertices, -1)).reshape(len(self), 9))
 
     @cached_property
     def geometry_ranks(self) -> np.ndarray:
@@ -173,15 +175,19 @@ class StlModel:
         return StlModel(self.solid_name, records, self.source_format)
 
     def take(self, order: np.ndarray) -> "StlModel":
-        """The model whose facet i is this model's facet order[i]."""
+        """The model whose facet i is this model's facet order[i]. order
+        holds indices: a boolean mask raises ValueError."""
         order = np.asarray(order)
+        if order.dtype == bool:
+            raise ValueError("take needs facet indices, not a boolean mask")
+        records = self.records.take(order)  # a float order raises TypeError
         names = ["geometry_keys", "degenerate", "rhr"]
         if "geometry_ranks" in self.__dict__ and len(order) == len(self):
             hit = np.zeros(len(self), dtype=bool)
             hit[order] = True
             if hit.all():  # n indices that hit all n facets: a permutation
                 names.append("geometry_ranks")
-        return self._carrying(self.records.take(order), names, order)
+        return self._carrying(records, names, order)
 
     def with_normals(self, normals: np.ndarray, attr) -> "StlModel":
         """This model with the stored normals and attribute words replaced;
@@ -284,31 +290,28 @@ _TURNS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 
 
 def rotate(vertices: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Cyclic rotation of each vertex list so that vertex start[i] leads:
-    0 keeps (a, b, c), 1 gives (b, c, a), 2 gives (c, a, b)."""
-    return vertices[np.arange(len(vertices))[:, None], _TURNS[start]]
+    """Cyclic rotation of each vertex list of an (n, 3, 3) float32 array so
+    that vertex start[i] leads: 0 keeps (a, b, c), 1 gives (b, c, a), 2
+    gives (c, a, b). Each vertex moves as one 12-byte item."""
+    items = vertices.view("V12")[..., 0]
+    return np.take_along_axis(items, _TURNS[start], axis=1).view(vertices.dtype).reshape(-1, 3, 3)
 
 
-def rotation_starts(vertices: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each vertex list of an (n, 3, 3) array, the first start whose
-    rotation equals its row of the (n, 9) rows as floats; each row must be
-    a rotation of its list. The first is the one extreme_rotation picks."""
-    n = len(vertices)
-    first, second = (
-        (vertices[:, _TURNS[start]].reshape(n, 9) == rows).all(axis=1) for start in (0, 1)
-    )
-    return np.where(first, 0, np.where(second, 1, 2))
-
-
-def extreme_rotation(vertices: np.ndarray, sign: int) -> np.ndarray:
-    """The smallest (sign -1) or largest (sign 1) cyclic rotation of each
-    vertex list of an (n, 3, 3) array, flattened to (n, 9). Picked as
-    Python's min and max pick among (a, b, c), (b, c, a), (c, a, b), the
-    first on ties. With sign -1 each row is the facet's geometry key: the
-    same for all three rotations, and free of the normal and attribute."""
-    n = len(vertices)
-    best = vertices.reshape(n, 9)
+def extreme_starts(vertices: np.ndarray, sign: int) -> np.ndarray:
+    """The start (as ``rotate`` takes it) of the smallest (sign -1) or
+    largest (sign 1) cyclic rotation of each vertex list of an (n, 3, 3)
+    float32 array, picked as Python's min and max pick among (a, b, c),
+    (b, c, a), (c, a, b): the first on ties. With sign -1 the rotation is
+    the facet's geometry key: the same for all three rotations, and free
+    of the normal and attribute."""
+    # each list followed by its first two vertices again: the rotation that
+    # starts at vertex s is columns 3s to 3s + 9, a view
+    doubled = vertices.view("V12")[..., 0].take([0, 1, 2, 0, 1], axis=1).view(vertices.dtype)
+    best = doubled[:, :9]
+    starts = np.zeros(len(vertices), dtype=np.intp)
     for start in (1, 2):
-        key = vertices[:, _TURNS[start]].reshape(n, 9)
-        best = np.where((lex_compare(key, best) == sign)[:, None], key, best)
-    return best
+        key = doubled[:, 3 * start : 3 * start + 9]
+        wins = lex_compare(key, best) == sign
+        best = np.where(wins[:, None], key, best)
+        starts[wins] = start
+    return starts

@@ -398,16 +398,17 @@ def keyed_carrier():
 
 @pytest.fixture
 def counted_rotations(keyed_carrier, monkeypatch):
-    """The sign of every extreme_rotation call, in channels and model."""
+    """The sign of every extreme_starts call that the model makes for its
+    own keys. The vertex channel's calls over its slots go through the
+    channels module's binding, which stays uncounted."""
     calls = []
-    original = model.extreme_rotation
+    original = model.extreme_starts
 
     def counted(vertices, sign):
         calls.append(sign)
         return original(vertices, sign)
 
-    monkeypatch.setattr(model, "extreme_rotation", counted)
-    monkeypatch.setattr(channels, "extreme_rotation", counted)
+    monkeypatch.setattr(model, "extreme_starts", counted)
     return calls
 
 

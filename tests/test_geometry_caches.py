@@ -25,7 +25,7 @@ from stlstego import (
 )
 from stlstego import model as model_module
 from stlstego.channels import CHANNELS
-from stlstego.model import lex_compare
+from stlstego.model import extreme_starts, lex_compare
 from zoo import cad_like, dirty_export, extremes, heightfield
 
 CACHES = ("geometry_keys", "geometry_ranks", "degenerate", "rhr")
@@ -68,6 +68,67 @@ def test_ranks_of_the_empty_model_and_of_signed_zeros():
     model = model_from_facets(facets=(Facet(o, o, o), Facet(z, z, z), Facet(x, o, z), Facet(z, x, o)))
     # three equal vertices, -0.0 equal to 0.0, and one triangle in two rotations
     assert model.geometry_ranks.tolist() == [0, 0, 1, 1]
+
+
+ZOO = {"extremes": lambda s: extremes(s)[0], "dirty-export": lambda s: dirty_export(s)[0],
+       "cad-like": lambda s: cad_like(s)[0], "heightfield": lambda s: heightfield(s)[0]}
+
+
+def python_starts(model: StlModel, sign: int) -> list[int]:
+    """The start of the rotation Python's min (sign -1) or max (sign 1)
+    picks among each facet's three as float tuples: the first on ties."""
+    pick = min if sign < 0 else max
+    starts = []
+    for a, b, c in (f.vertices for f in model.facets):
+        turns = [(a, b, c), (b, c, a), (c, a, b)]
+        starts.append(turns.index(pick(turns)))
+    return starts
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@settings(max_examples=200, deadline=None)
+@given(model=tie_models())
+def test_extreme_starts_are_the_starts_python_picks_on_ties(sign, model):
+    starts = extreme_starts(model.vertices, sign)
+    assert starts.tolist() == python_starts(model, sign)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("mesh", sorted(ZOO))
+def test_extreme_starts_are_the_starts_python_picks_on_the_zoo(mesh, seed, sign):
+    model = ZOO[mesh](seed)
+    assert extreme_starts(model.vertices, sign).tolist() == python_starts(model, sign)
+
+
+def test_extreme_starts_of_degenerate_facets_and_signed_zeros():
+    o, z, y = (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), (0.0, -0.0, 0.0)
+    p, q, up = (1.0, 2.0, 3.0), (4.0, 5.0, 6.0), (0.0, 0.0, 1.0)
+    facets = (
+        Facet(z, o, y),  # three vertices equal as floats, not as bits: 0 both ways
+        Facet(p, p, q),  # (p, p, q) smallest, (q, p, p) largest
+        Facet(q, p, q),  # (p, q, q) smallest, (q, q, p) largest
+        Facet(z, up, y),  # z equals y: (y, z, up) is smaller than (z, up, y)
+    )
+    model = model_from_facets(facets=facets)
+    assert extreme_starts(model.vertices, -1).tolist() == [0, 0, 1, 2]
+    assert extreme_starts(model.vertices, 1).tolist() == [0, 2, 2, 1]
+    assert python_starts(model, -1) == [0, 0, 1, 2] and python_starts(model, 1) == [0, 2, 2, 1]
+
+
+def test_take_refuses_a_boolean_order():
+    # as indices [True, True] picks facet 1 twice; as a mask it would pass
+    # for a permutation and carry the ranks [1, 1], where a fresh model of
+    # the two equal facets ranks [0, 0]
+    model = model_from_facets(facets=(Facet((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+                                      Facet((2.0, 0.0, 0.0), (3.0, 0.0, 0.0), (2.0, 1.0, 0.0))))
+    assert model.geometry_ranks.tolist() == [0, 1]
+    for mask in (np.array([True, True]), [True, False], np.ones(2, dtype=np.bool_)):
+        with pytest.raises(ValueError, match="boolean"):
+            model.take(mask)
+    with pytest.raises(TypeError):
+        model.take(np.array([1.0, 0.0]))
+    assert model.take(np.array([1, 0])).geometry_ranks.tolist() == [1, 0]
 
 
 def _bytes(value) -> bytes:
@@ -118,10 +179,6 @@ def _derived_models(model: StlModel, seed: int):
         yield f"{channel.value} scrub", CHANNELS[channel].scrub(model, RandomSource.seeded(seed)), carried
 
 
-ZOO = {"extremes": lambda s: extremes(s)[0], "dirty-export": lambda s: dirty_export(s)[0],
-       "cad-like": lambda s: cad_like(s)[0], "heightfield": lambda s: heightfield(s)[0]}
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("mesh", sorted(ZOO))
 def test_carried_arrays_equal_a_fresh_computation_on_the_zoo(mesh, seed):
@@ -150,8 +207,10 @@ def test_a_rotation_can_change_the_bits_of_a_key():
 
 @pytest.fixture
 def computations(monkeypatch):
-    """How often each cached array's function runs: keys (extreme_rotation
-    with sign -1), ranks, the degenerate mask and the RHR normals."""
+    """How often each cached array's function runs: keys (the model's own
+    extreme_starts call, sign -1 over all its facets), ranks, the
+    degenerate mask and the RHR normals. A channel's call over its slots
+    is not a key computation and goes through its own binding, uncounted."""
     counts = dict.fromkeys(("keys", "ranks", "mask", "rhr"), 0)
 
     def counted(name, label, sign=None):
@@ -164,7 +223,7 @@ def computations(monkeypatch):
 
         monkeypatch.setattr(model_module, name, wrapper)
 
-    counted("extreme_rotation", "keys", sign=-1)
+    counted("extreme_starts", "keys", sign=-1)
     counted("geometry_ranks", "ranks")
     counted("degenerate", "mask")
     counted("rhr_normals", "rhr")
@@ -175,7 +234,8 @@ def computations(monkeypatch):
     "channel, expected",
     [
         (ChannelId.FACET, {"keys": 1, "ranks": 1, "mask": 1, "rhr": 0}),
-        (ChannelId.VERTEX, {"keys": 1, "ranks": 0, "mask": 1, "rhr": 0}),
+        # the vertex write picks its starts over the payload's slots only
+        (ChannelId.VERTEX, {"keys": 0, "ranks": 0, "mask": 1, "rhr": 0}),
         (ChannelId.NORMAL, {"keys": 0, "ranks": 0, "mask": 0, "rhr": 1}),
         # each trial's normal pass runs on a fresh rotation, whose normals
         # round differently: one RHR computation per trial, nothing else

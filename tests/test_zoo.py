@@ -123,7 +123,7 @@ def test_take_of_a_model_with_nothing_cached_computes_nothing(monkeypatch):
 
         monkeypatch.setattr(model_module, name, wrapper)
 
-    counted("extreme_rotation")
+    counted("extreme_starts")
     counted("degenerate")
     model = dirty_export(1)[0]
     taken = model.take(np.arange(len(model))[::-1])
